@@ -2,7 +2,12 @@
 
 Subcommands compose over JSON on stdin/stdout so reductions chain in
 shell pipes.  Exit codes: 0 = yes/ok, 1 = no/failed check, 2 =
-usage/format error, 3 = resource cap exceeded.
+usage/format error, 3 = resource cap exceeded, 4 = internal error (the
+traceback goes to stderr).  Each problem and rule reads its input
+through the problem registry in :mod:`basepack.solvers`: JSON when the
+input starts with ``{``, else the problem's text format; an instance of
+the wrong schema is a format error.  ``--cap`` applies to the
+common-bases, naesat, even-factor and mod4-2factor solvers only.
 """
 
 from __future__ import annotations
@@ -11,18 +16,16 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from .core import ResourceCapExceeded, UniverseMismatch, check_independence_axioms
 from .adversary import build_adversary, count_parity_hiding_sets, run_indistinguishability
-from .constructions import matroid_from_descriptor
 from .formats import (
     FormatError,
     dump_instance,
-    load_certificate,
     load_instance,
-    parse_arc_list,
-    parse_bipartite,
-    parse_dimacs,
+    load_matroid,
+    parse_json,
     read_json,
     read_text,
 )
@@ -43,73 +46,50 @@ from .reductions import (
     naesat_to_modular_trees,
     to_partition_matroid_form,
 )
-from .solvers import (
-    PROBLEMS,
-    solve_common_bases,
-    solve_mod4_two_factor,
-    solve_modular_bases,
-    solve_modular_trees,
-    solve_naesat,
-    solve_parity_bases,
-    solve_perfect_even_factor,
-    verify_certificate,
-)
+from .solvers import PROBLEMS, load_certificate, lookup, solve_parity_bases, verify_certificate
 
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(data: dict, pretty: bool = False) -> None:
     print(json.dumps(data, indent=2 if pretty else None))
 
 
-def _load_problem_instance(problem: str, raw: str):
-    if problem == "naesat":
-        formula, warnings = parse_dimacs(raw)
-        for w in warnings:
-            print(f"warning: {w}", file=sys.stderr)
-        return formula
-    stripped = raw.lstrip()
-    if problem == "even-factor":
-        if stripped.startswith("{"):
-            inst = load_instance(json.loads(raw))
-            if not isinstance(inst, Digraph):
-                raise FormatError("even-factor expects a digraph")
-            return inst
-        return parse_arc_list(raw)
-    if problem == "mod4-2factor":
-        if stripped.startswith("{"):
-            inst = load_instance(json.loads(raw))
-            if not isinstance(inst, BipartiteGraph):
-                raise FormatError("mod4-2factor expects a bipartite graph")
-            return inst
-        return parse_bipartite(raw)
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from None
-    return load_instance(data)
+def _load_instance(problem: str, raw: str, also: tuple = ()):
+    """Read ``problem``'s input, which must be its instance class or one of ``also``."""
+    row = lookup(problem)
+    if row.parse is None or raw.lstrip().startswith("{"):
+        instance = load_instance(parse_json(raw))
+    else:
+        instance = row.parse(raw)
+        if isinstance(instance, tuple):  # parse_dimacs also returns its warnings
+            instance, warnings = instance
+            for w in warnings:
+                print(f"warning: {w}", file=sys.stderr)
+    if not isinstance(instance, (row.instance, *also)):
+        raise FormatError(f"{problem} expects {row.instance.__name__} input, "
+                          f"got {type(instance).__name__}")
+    return instance
 
 
-def _solve(problem: str, instance, cap):
-    kwargs = {} if cap is None else {"cap": cap}
-    if problem == "common-bases":
-        return solve_common_bases(instance, **kwargs)
-    if problem == "modular-bases":
-        return solve_modular_bases(instance)
-    if problem == "parity-bases":
-        return solve_parity_bases(instance)
-    if problem == "modular-trees":
-        return solve_modular_trees(instance)
-    if problem == "naesat":
-        return solve_naesat(instance, **kwargs)
-    if problem == "even-factor":
-        return solve_perfect_even_factor(instance, **kwargs)
-    if problem == "mod4-2factor":
-        return solve_mod4_two_factor(instance, **kwargs)
-    raise FormatError(f"unknown problem {problem!r}")
+def _modular_to_common_bases(inst):
+    if isinstance(inst, ModularTreesInstance):
+        inst = inst.to_modular_instance()
+    return modular_to_common_bases(inst)
+
+
+# rule -> (source problem, other instance classes it reads, reduction)
+RULES = {
+    "r1": ("modular-bases", (ModularTreesInstance,), _modular_to_common_bases),
+    "r2": ("naesat", (), naesat_to_modular_trees),
+    "r3": ("even-factor", (), even_factor_to_mod4_factor),
+    "r4": ("mod4-2factor", (), mod4_factor_to_parity_bases),
+    "r5": ("common-bases", (), to_partition_matroid_form),
+}
 
 
 def cmd_build(args) -> int:
@@ -120,52 +100,22 @@ def cmd_build(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    raw = read_text(args.input, sys.stdin)
-    rule = args.rule
-    if rule == "r1":
-        inst = load_instance(json.loads(raw))
-        if isinstance(inst, ModularTreesInstance):
-            inst = inst.to_modular_instance()
-        red = modular_to_common_bases(inst)
-        _emit(dump_instance(red.instance, red.provenance), args.pretty)
-        return EXIT_YES
-    if rule == "r2":
-        formula, warnings = parse_dimacs(raw)
-        for w in warnings:
-            print(f"warning: {w}", file=sys.stderr)
-        red = naesat_to_modular_trees(formula)
-        _emit(dump_instance(red.instance, red.provenance), args.pretty)
-        return EXIT_YES
-    if rule == "r3":
-        digraph = (
-            load_instance(json.loads(raw)) if raw.lstrip().startswith("{") else parse_arc_list(raw)
-        )
-        red = even_factor_to_mod4_factor(digraph)
-        _emit(dump_instance(red.graph, red.provenance), args.pretty)
-        return EXIT_YES
-    if rule == "r4":
-        graph = (
-            load_instance(json.loads(raw)) if raw.lstrip().startswith("{") else parse_bipartite(raw)
-        )
-        red = mod4_factor_to_parity_bases(graph)
-        if red is None:
-            _emit({"schema": "verdict/1", "answer": "NO",
-                   "reason": "sides of unequal size admit no 2-factor"})
-            return EXIT_NO
-        _emit(dump_instance(red.instance, red.provenance), args.pretty)
-        return EXIT_YES
-    if rule == "r5":
-        inst = load_instance(json.loads(raw))
-        red = to_partition_matroid_form(inst)
-        _emit(dump_instance(red.instance, red.provenance), args.pretty)
-        return EXIT_YES
-    raise FormatError(f"unknown rule {rule!r}")
+    source, also, reduce = RULES[args.rule]
+    red = reduce(_load_instance(source, read_text(args.input, sys.stdin), also))
+    if red is None:  # r4 answers unequal sides at once
+        _emit({"schema": "verdict/1", "answer": "NO",
+               "reason": "sides of unequal size admit no 2-factor"})
+        return EXIT_NO
+    _emit(dump_instance(red.instance, red.provenance), args.pretty)
+    return EXIT_YES
 
 
 def cmd_solve(args) -> int:
-    raw = read_text(args.input, sys.stdin)
-    instance = _load_problem_instance(args.problem, raw)
-    certificate = _solve(args.problem, instance, args.cap)
+    row = lookup(args.problem)
+    if args.cap is not None and not row.takes_cap:
+        raise FormatError(f"--cap does not apply to {args.problem}")
+    instance = _load_instance(args.problem, read_text(args.input, sys.stdin))
+    certificate = row.solve(instance) if args.cap is None else row.solve(instance, cap=args.cap)
     if certificate is None:
         _emit({"schema": "verdict/1", "answer": "NO"})
         return EXIT_NO
@@ -174,8 +124,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    raw = read_text(args.instance, sys.stdin)
-    instance = _load_problem_instance(args.problem, raw)
+    if args.instance == "-" and args.certificate == "-":
+        raise FormatError("--instance and --certificate cannot both be read from stdin")
+    instance = _load_instance(args.problem, read_text(args.instance, sys.stdin))
     cert_data = read_json(args.certificate, sys.stdin)
     certificate = load_certificate(args.problem, cert_data, instance)
     result = verify_certificate(args.problem, instance, certificate)
@@ -233,7 +184,7 @@ def cmd_adversary(args) -> int:
 def cmd_axioms(args) -> int:
     data = read_json(args.input, sys.stdin)
     descriptor = data.get("matroid", data) if isinstance(data, dict) else data
-    matroid = matroid_from_descriptor(descriptor)
+    matroid = load_matroid(descriptor)
     kwargs = {} if args.cap is None else {"cap": args.cap}
     report = check_independence_axioms(matroid, **kwargs)
     _emit(
@@ -281,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("reduce", help="transform an instance (r1..r5)")
-    p.add_argument("--rule", required=True, choices=["r1", "r2", "r3", "r4", "r5"])
+    p.add_argument("--rule", required=True, choices=list(RULES))
     p.add_argument("input", nargs="?", default="-")
     p.set_defaults(func=cmd_reduce)
 
@@ -340,9 +291,9 @@ def main(argv=None) -> int:
     except (FormatError, CertificateRejected, UniverseMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception:  # a bug, not a verdict: keep it apart from exit 1
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

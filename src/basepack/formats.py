@@ -12,13 +12,6 @@ import json
 from typing import Optional, TextIO, Union
 
 from .core import GroundSet, Matroid
-from .certificates import (
-    ArcSetCertificate,
-    AssignmentCertificate,
-    EdgeSetCertificate,
-    ModularCertificate,
-    PartitionCertificate,
-)
 from .constructions import PartitionOfGroundSet, matroid_from_descriptor
 from .graphs import BipartiteGraph, Digraph, MultiGraph
 from .instances import (
@@ -194,11 +187,33 @@ def dump_instance(instance: Instance, provenance: Optional[dict] = None) -> dict
     return data
 
 
+def _reject_floats(data) -> None:
+    """Counts and indices are integers and rationals are "num/den" strings,
+    so a float anywhere in instance or descriptor JSON is malformed."""
+    if isinstance(data, float):
+        raise FormatError(f"JSON holds the non-integer number {data!r}")
+    if isinstance(data, dict):
+        data = list(data.values())
+    if isinstance(data, list):
+        for child in data:
+            _reject_floats(child)
+
+
+def load_matroid(descriptor: dict) -> Matroid:
+    """Rebuild a matroid from descriptor JSON read from outside the program."""
+    _reject_floats(descriptor)
+    try:
+        return matroid_from_descriptor(descriptor)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise FormatError(f"bad matroid descriptor: {exc}") from None
+
+
 def load_instance(data: dict) -> Instance:
     try:
         schema = data["schema"]
     except (KeyError, TypeError):
         raise FormatError("instance JSON must carry a schema field") from None
+    _reject_floats(data)
     try:
         if schema == "modular-instance/1":
             matroid = _apply_labels(
@@ -230,25 +245,6 @@ def load_instance(data: dict) -> Instance:
     raise FormatError(f"unknown schema {schema!r}")
 
 
-def load_certificate(problem: str, data: dict, instance) -> object:
-    try:
-        if problem == "common-bases":
-            return PartitionCertificate.from_json(data, instance.ground)
-        if problem in ("modular-bases", "parity-bases"):
-            return ModularCertificate.from_json(data, instance.matroid.ground)
-        if problem == "modular-trees":
-            return ModularCertificate.from_json(data, instance.graph.ground_set())
-        if problem == "naesat":
-            return AssignmentCertificate.from_json(data)
-        if problem == "even-factor":
-            return ArcSetCertificate.from_json(data)
-        if problem == "mod4-2factor":
-            return EdgeSetCertificate.from_json(data)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise FormatError(f"bad certificate payload: {exc}") from None
-    raise FormatError(f"unknown problem {problem!r}")
-
-
 def read_text(path_or_dash: str, stdin: TextIO) -> str:
     if path_or_dash == "-":
         return stdin.read()
@@ -259,9 +255,14 @@ def read_text(path_or_dash: str, stdin: TextIO) -> str:
         raise FormatError(f"cannot read {path_or_dash}: {exc}") from None
 
 
-def read_json(path_or_dash: str, stdin: TextIO) -> dict:
-    text = read_text(path_or_dash, stdin)
+def parse_json(text: str) -> dict:
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError("invalid JSON: nested too deeply") from None
+
+
+def read_json(path_or_dash: str, stdin: TextIO) -> dict:
+    return parse_json(read_text(path_or_dash, stdin))

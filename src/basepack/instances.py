@@ -34,6 +34,10 @@ class ModularInstance:
                 f"ground set size {n} must be twice the rank {self.matroid.full_rank}"
             )
 
+    @property
+    def ground(self) -> GroundSet:
+        return self.matroid.ground
+
 
 @dataclass(frozen=True)
 class CommonBasesInstance:
@@ -73,6 +77,15 @@ class ParityInstance:
             if len(block) != 2:
                 raise ValueError("every module of a parity instance must be a pair")
 
+    @property
+    def modules(self) -> PartitionOfGroundSet:
+        """The pairs, as the modules of the same modular-bases question."""
+        return self.pairs
+
+    @property
+    def ground(self) -> GroundSet:
+        return self.matroid.ground
+
 
 @dataclass(frozen=True)
 class ModularTreesInstance:
@@ -90,6 +103,10 @@ class ModularTreesInstance:
     def __post_init__(self) -> None:
         if self.modules.universe.size != self.graph.edge_count:
             raise ValueError("module partition must cover the edge set")
+
+    @property
+    def ground(self) -> GroundSet:
+        return self.graph.ground_set()
 
     def shape_feasible(self) -> bool:
         return (

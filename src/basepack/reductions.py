@@ -206,13 +206,8 @@ def pull_common_to_modular(
             first_modules.append(m)
         elif inside != 0:
             raise CertificateRejected(f"module {m} split between classes")
-    ground = red.source.matroid.ground
-    pulled = ModularCertificate(
-        tuple(first_modules),
-        (
-            ElementSet.from_mask(ground, b1),
-            ElementSet.from_mask(ground, s_mask & ~b1),
-        ),
+    pulled = ModularCertificate.from_modules(
+        red.source.ground, red.source.modules.blocks, first_modules
     )
     _require("modular-bases", red.source, pulled, "pulled")
     return pulled
@@ -390,17 +385,8 @@ def lift_assignment_to_trees(
         for k, (var, positive) in enumerate(clause):
             if cert.values[var] == positive:
                 first.append(red.clause_edge_modules[i][k])
-    blocks = red.instance.modules.blocks
-    ground = red.instance.graph.ground_set()
-    mask = 0
-    for m in first:
-        mask |= blocks[m].mask
-    lifted = ModularCertificate(
-        tuple(sorted(first)),
-        (
-            ElementSet.from_mask(ground, mask),
-            ElementSet.from_mask(ground, ground.full_mask ^ mask),
-        ),
+    lifted = ModularCertificate.from_modules(
+        red.instance.ground, red.instance.modules.blocks, first
     )
     _require("modular-trees", red.instance, lifted, "lifted")
     return lifted
@@ -433,6 +419,10 @@ class EvenFactorReduction:
     arc_edges: dict[tuple[int, int], tuple[int, int]]
     path_edges: tuple[tuple[tuple[int, int], ...], ...]
     provenance: dict[str, str]
+
+    @property
+    def instance(self) -> BipartiteGraph:
+        return self.graph
 
 
 def even_factor_to_mod4_factor(digraph: Digraph) -> EvenFactorReduction:
@@ -555,16 +545,8 @@ def lift_factor_to_parity(
     for cycle in cycles:
         s_seq = [edge[0] for edge in cycle[0::2]]
         first_pairs.extend(s_seq[0::2])
-    ground = red.instance.matroid.ground
-    mask = 0
-    for s in first_pairs:
-        mask |= (1 << (2 * s)) | (1 << (2 * s + 1))
-    lifted = ModularCertificate(
-        tuple(sorted(first_pairs)),
-        (
-            ElementSet.from_mask(ground, mask),
-            ElementSet.from_mask(ground, ground.full_mask ^ mask),
-        ),
+    lifted = ModularCertificate.from_modules(
+        red.instance.ground, red.instance.pairs.blocks, first_pairs
     )
     _require("parity-bases", red.instance, lifted, "lifted")
     return lifted

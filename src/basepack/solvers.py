@@ -1,4 +1,5 @@
-"""Desk-scale exact solvers and polynomial-time certificate verifiers.
+"""Desk-scale exact solvers, polynomial-time certificate verifiers, and the
+problem registry that ties each problem name to them.
 
 Each solver sweeps its full search space (with a documented symmetry
 break and independence pruning) and returns a certificate or None; the
@@ -10,15 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
-from .core import (
-    DEFAULT_EXHAUSTIVE_CAP,
-    ElementSet,
-    Matroid,
-    ResourceCapExceeded,
-    mask_of,
-)
+from .core import DEFAULT_EXHAUSTIVE_CAP, ElementSet, ResourceCapExceeded, mask_of
 from .certificates import (
     ArcSetCertificate,
     AssignmentCertificate,
@@ -26,6 +21,7 @@ from .certificates import (
     ModularCertificate,
     PartitionCertificate,
 )
+from .formats import FormatError, parse_arc_list, parse_bipartite, parse_dimacs
 from .graphs import BipartiteGraph, Digraph, two_factor_cycles
 from .instances import (
     CnfFormula,
@@ -110,21 +106,23 @@ def solve_common_bases(
     )
 
 
-def _solve_module_bipartition(
-    matroid: Matroid, blocks: Sequence[int]
-) -> Optional[tuple[tuple[int, ...], int, int]]:
-    """Split the ground set into two bases along the given module masks.
+def solve_modular_bases(
+    inst: Union[ModularInstance, ParityInstance],
+) -> Optional[ModularCertificate]:
+    """Partition the ground set into two bases along the modules, or return None.
 
-    Depth-first over modules in descending size order (ties by index),
-    the largest module pinned to the first class; prunes on class size
-    and on independence of the grown class.  Returns (module indices of
-    the first class, first mask, second mask) or None.
+    Also answers parity instances, whose modules are pairs; those whose
+    size is not twice the rank are infeasible by counting and answered
+    None directly.  Depth-first over modules in descending size order
+    (ties by index), the largest module pinned to the first class;
+    prunes on class size and on independence of the grown class.
     """
-    n = matroid.ground.size
+    matroid = inst.matroid
     r = matroid.full_rank
-    if n != 2 * r:
+    if matroid.ground.size != 2 * r:
         return None
     indep = matroid.indep_mask
+    blocks = inst.modules.blocks
     masks = [b.mask for b in blocks]
     order = sorted(range(len(masks)), key=lambda i: (-masks[i].bit_count(), i))
 
@@ -151,41 +149,10 @@ def _solve_module_bipartition(
 
     if not place(0, 0, 0, 0, 0):
         return None
-    mask_a = 0
-    for i in picked:
-        mask_a |= masks[i]
-    mask_b = matroid.ground.full_mask ^ mask_a
-    return tuple(sorted(picked)), mask_a, mask_b
+    return ModularCertificate.from_modules(matroid.ground, blocks, picked)
 
 
-def solve_modular_bases(inst: ModularInstance) -> Optional[ModularCertificate]:
-    """Partition the ground set into two modular bases, or return None."""
-    found = _solve_module_bipartition(inst.matroid, inst.modules.blocks)
-    if found is None:
-        return None
-    picked, mask_a, mask_b = found
-    ground = inst.matroid.ground
-    return ModularCertificate(
-        picked,
-        (ElementSet.from_mask(ground, mask_a), ElementSet.from_mask(ground, mask_b)),
-    )
-
-
-def solve_parity_bases(inst: ParityInstance) -> Optional[ModularCertificate]:
-    """Partition the ground set into two parity bases, or return None.
-
-    Same sweep as the modular solver; instances whose size is not twice
-    the rank are infeasible by counting and answered None directly.
-    """
-    found = _solve_module_bipartition(inst.matroid, inst.pairs.blocks)
-    if found is None:
-        return None
-    picked, mask_a, mask_b = found
-    ground = inst.matroid.ground
-    return ModularCertificate(
-        picked,
-        (ElementSet.from_mask(ground, mask_a), ElementSet.from_mask(ground, mask_b)),
-    )
+solve_parity_bases = solve_modular_bases
 
 
 class _RollbackForest:
@@ -312,15 +279,7 @@ def solve_modular_trees(inst: ModularTreesInstance) -> Optional[ModularCertifica
 
     if not place(0, 0, 0):
         return None
-    ground = graph.ground_set()
-    mask_a = 0
-    for i in picked:
-        mask_a |= blocks[i].mask
-    mask_b = ground.full_mask ^ mask_a
-    return ModularCertificate(
-        tuple(sorted(picked)),
-        (ElementSet.from_mask(ground, mask_a), ElementSet.from_mask(ground, mask_b)),
-    )
+    return ModularCertificate.from_modules(graph.ground_set(), blocks, picked)
 
 
 def solve_naesat(
@@ -472,7 +431,9 @@ def solve_mod4_two_factor(
 
 
 # ---------------------------------------------------------------------------
-# Certificate verification
+# Certificate verification: each verifier returns None or the reason for
+# rejecting.  Only oracle calls, degree counts and cycle walks: no
+# enumeration, so verification stays polynomial.
 
 
 def _verify_partition(classes: Sequence[ElementSet], full_mask: int) -> Optional[str]:
@@ -486,37 +447,30 @@ def _verify_partition(classes: Sequence[ElementSet], full_mask: int) -> Optional
     return None
 
 
-def verify_certificate(problem: str, instance, certificate) -> VerifyResult:
-    """Check a certificate against its instance's defining conditions.
-
-    Dispatches on the problem name.  Only oracle calls, degree counts,
-    and cycle walks: no enumeration, so verification stays polynomial.
-    """
-    try:
-        return _VERIFIERS[problem](instance, certificate)
-    except KeyError:
-        raise ValueError(f"unknown problem {problem!r}") from None
-
-
-def _verify_common_bases(inst: CommonBasesInstance, cert: PartitionCertificate) -> VerifyResult:
+def _verify_common_bases(inst: CommonBasesInstance, cert: PartitionCertificate) -> Optional[str]:
     if len(cert.classes) != inst.k:
-        return VerifyResult(False, f"expected {inst.k} classes, got {len(cert.classes)}")
+        return f"expected {inst.k} classes, got {len(cert.classes)}"
     bad = _verify_partition(cert.classes, inst.ground.full_mask)
     if bad:
-        return VerifyResult(False, bad)
+        return bad
     for idx, c in enumerate(cert.classes):
         for tag, m in (("first", inst.m1), ("second", inst.m2)):
             if len(c) != m.full_rank or not m.indep_mask(c.mask):
-                return VerifyResult(False, f"class {idx} is not a basis of the {tag} matroid")
-    return VerifyResult(True)
+                return f"class {idx} is not a basis of the {tag} matroid"
+    return None
 
 
 def _verify_modular_partition(
-    matroid: Matroid, blocks: Sequence[ElementSet], cert: ModularCertificate
+    blocks: Sequence[ElementSet],
+    cert: ModularCertificate,
+    full_mask: int,
+    basis_size: int,
+    indep: Callable[[int], bool],
 ) -> Optional[str]:
+    """Two classes of ``basis_size`` independent elements, each a union of modules."""
     if len(cert.classes) != 2:
         return "expected two classes"
-    bad = _verify_partition(cert.classes, matroid.ground.full_mask)
+    bad = _verify_partition(cert.classes, full_mask)
     if bad:
         return bad
     union = 0
@@ -531,66 +485,50 @@ def _verify_modular_partition(
         if inside != 0 and inside != block.mask:
             return f"module {i} is split between classes"
     for idx, c in enumerate(cert.classes):
-        if len(c) != matroid.full_rank or not matroid.indep_mask(c.mask):
+        if len(c) != basis_size or not indep(c.mask):
             return f"class {idx} is not a basis"
     return None
 
 
-def _verify_modular_bases(inst: ModularInstance, cert: ModularCertificate) -> VerifyResult:
-    bad = _verify_modular_partition(inst.matroid, inst.modules.blocks, cert)
-    return VerifyResult(bad is None, bad)
+def _verify_modular_bases(
+    inst: Union[ModularInstance, ParityInstance], cert: ModularCertificate
+) -> Optional[str]:
+    m = inst.matroid
+    return _verify_modular_partition(
+        inst.modules.blocks, cert, m.ground.full_mask, m.full_rank, m.indep_mask
+    )
 
 
-def _verify_parity_bases(inst: ParityInstance, cert: ModularCertificate) -> VerifyResult:
-    bad = _verify_modular_partition(inst.matroid, inst.pairs.blocks, cert)
-    return VerifyResult(bad is None, bad)
-
-
-def _verify_modular_trees(inst: ModularTreesInstance, cert: ModularCertificate) -> VerifyResult:
+def _verify_modular_trees(inst: ModularTreesInstance, cert: ModularCertificate) -> Optional[str]:
+    if not inst.shape_feasible():
+        return "the graph is disconnected or does not have 2(V - 1) edges"
     graph = inst.graph
-    if len(cert.classes) != 2:
-        return VerifyResult(False, "expected two classes")
-    bad = _verify_partition(cert.classes, (1 << graph.edge_count) - 1)
-    if bad:
-        return VerifyResult(False, bad)
-    union = 0
-    for i in cert.first_modules:
-        union |= inst.modules.blocks[i].mask
-    if union != cert.classes[0].mask:
-        return VerifyResult(False, "first class is not the union of its declared modules")
-    for i, block in enumerate(inst.modules.blocks):
-        inside = block.mask & cert.classes[0].mask
-        if inside != 0 and inside != block.mask:
-            return VerifyResult(False, f"module {i} is split between classes")
-    need = graph.vertex_count - 1
-    for idx, c in enumerate(cert.classes):
-        if len(c) != need:
-            return VerifyResult(False, f"class {idx} has {len(c)} edges, spanning tree needs {need}")
-        if not graph.is_forest_mask(c.mask):
-            return VerifyResult(False, f"class {idx} contains a cycle")
-    return VerifyResult(True)
+    return _verify_modular_partition(
+        inst.modules.blocks, cert, (1 << graph.edge_count) - 1, graph.vertex_count - 1,
+        graph.is_forest_mask,
+    )
 
 
-def _verify_naesat(formula: CnfFormula, cert: AssignmentCertificate) -> VerifyResult:
+def _verify_naesat(formula: CnfFormula, cert: AssignmentCertificate) -> Optional[str]:
     if len(cert.values) != formula.num_vars:
-        return VerifyResult(False, "assignment length mismatch")
+        return "assignment length mismatch"
     if not formula.nae_satisfied(cert.values):
-        return VerifyResult(False, "some clause has all literals equal")
-    return VerifyResult(True)
+        return "some clause has all literals equal"
+    return None
 
 
-def _verify_even_factor(digraph: Digraph, cert: ArcSetCertificate) -> VerifyResult:
+def _verify_even_factor(digraph: Digraph, cert: ArcSetCertificate) -> Optional[str]:
     available = digraph.arc_set()
     outdeg = [0] * digraph.vertex_count
     indeg = [0] * digraph.vertex_count
     for u, v in cert.arcs:
         if (u, v) not in available:
-            return VerifyResult(False, f"arc ({u},{v}) not in the digraph")
+            return f"arc ({u},{v}) not in the digraph"
         outdeg[u] += 1
         indeg[v] += 1
     for v in range(digraph.vertex_count):
         if outdeg[v] != 1 or indeg[v] != 1:
-            return VerifyResult(False, f"vertex {v} does not have in- and out-degree 1")
+            return f"vertex {v} does not have in- and out-degree 1"
     succ = {u: v for u, v in cert.arcs}
     seen: set[int] = set()
     for v0 in range(digraph.vertex_count):
@@ -603,36 +541,82 @@ def _verify_even_factor(digraph: Digraph, cert: ArcSetCertificate) -> VerifyResu
             v = succ[v]
             length += 1
         if length % 2 != 0:
-            return VerifyResult(False, f"cycle through {v0} has odd length {length}")
-    return VerifyResult(True)
+            return f"cycle through {v0} has odd length {length}"
+    return None
 
 
-def _verify_mod4_two_factor(graph: BipartiteGraph, cert: EdgeSetCertificate) -> VerifyResult:
+def _verify_mod4_two_factor(graph: BipartiteGraph, cert: EdgeSetCertificate) -> Optional[str]:
     for s, t in cert.edges:
         if (s, t) not in graph.edges:
-            return VerifyResult(False, f"edge ({s},{t}) not in the graph")
+            return f"edge ({s},{t}) not in the graph"
     s_deg = [0] * graph.left.size
     t_deg = [0] * graph.right.size
     for s, t in cert.edges:
         s_deg[s] += 1
         t_deg[t] += 1
     if any(d != 2 for d in s_deg) or any(d != 2 for d in t_deg):
-        return VerifyResult(False, "not every vertex has degree 2")
+        return "not every vertex has degree 2"
     cycles = two_factor_cycles(graph.left.size, graph.right.size, cert.edges)
     for cycle in cycles:
         if len(cycle) % 4 != 0:
-            return VerifyResult(False, f"cycle of length {len(cycle)} is not a multiple of 4")
-    return VerifyResult(True)
+            return f"cycle of length {len(cycle)} is not a multiple of 4"
+    return None
 
 
-_VERIFIERS = {
-    "common-bases": _verify_common_bases,
-    "modular-bases": _verify_modular_bases,
-    "parity-bases": _verify_parity_bases,
-    "modular-trees": _verify_modular_trees,
-    "naesat": _verify_naesat,
-    "even-factor": _verify_even_factor,
-    "mod4-2factor": _verify_mod4_two_factor,
+# ---------------------------------------------------------------------------
+# The problem registry: the one place that says how each problem is read,
+# solved, certified and verified.
+
+
+@dataclass(frozen=True)
+class Problem:
+    """One row of the registry; ``solve`` accepts ``cap=`` when ``takes_cap``."""
+
+    instance: type
+    parse: Optional[Callable]  # text format, read when the input is not JSON
+    solve: Callable
+    takes_cap: bool
+    certificate: type
+    verify: Callable[..., Optional[str]]
+
+
+REGISTRY: dict[str, Problem] = {
+    "common-bases": Problem(CommonBasesInstance, None, solve_common_bases, True,
+                            PartitionCertificate, _verify_common_bases),
+    "modular-bases": Problem(ModularInstance, None, solve_modular_bases, False,
+                             ModularCertificate, _verify_modular_bases),
+    "parity-bases": Problem(ParityInstance, None, solve_parity_bases, False,
+                            ModularCertificate, _verify_modular_bases),
+    "modular-trees": Problem(ModularTreesInstance, None, solve_modular_trees, False,
+                             ModularCertificate, _verify_modular_trees),
+    "naesat": Problem(CnfFormula, parse_dimacs, solve_naesat, True,
+                      AssignmentCertificate, _verify_naesat),
+    "even-factor": Problem(Digraph, parse_arc_list, solve_perfect_even_factor, True,
+                           ArcSetCertificate, _verify_even_factor),
+    "mod4-2factor": Problem(BipartiteGraph, parse_bipartite, solve_mod4_two_factor, True,
+                            EdgeSetCertificate, _verify_mod4_two_factor),
 }
 
-PROBLEMS = tuple(sorted(_VERIFIERS))
+PROBLEMS = tuple(sorted(REGISTRY))
+
+
+def lookup(problem: str) -> Problem:
+    try:
+        return REGISTRY[problem]
+    except KeyError:
+        raise FormatError(f"unknown problem {problem!r}") from None
+
+
+def load_certificate(problem: str, data: dict, instance) -> object:
+    """Read a certificate's JSON; set-valued ones over the instance's ground set."""
+    read = lookup(problem).certificate.from_json
+    try:
+        return read(data, instance.ground) if hasattr(instance, "ground") else read(data)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise FormatError(f"bad certificate payload: {exc}") from None
+
+
+def verify_certificate(problem: str, instance, certificate) -> VerifyResult:
+    """Check a certificate against its instance's defining conditions."""
+    reason = lookup(problem).verify(instance, certificate)
+    return VerifyResult(reason is None, reason)

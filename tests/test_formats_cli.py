@@ -1,16 +1,16 @@
 """Exchange formats, golden files, and the command-line interface."""
 
+import dataclasses
 import io
 import json
 import pathlib
 
 import pytest
 
-from basepack.cli import main
+from basepack.cli import EXIT_INTERNAL, main
 from basepack.formats import (
     FormatError,
     dump_instance,
-    load_certificate,
     load_instance,
     parse_arc_list,
     parse_bipartite,
@@ -24,9 +24,35 @@ from basepack.reductions import (
     naesat_to_modular_trees,
     to_partition_matroid_form,
 )
-from basepack.solvers import solve_modular_bases, verify_certificate
+from basepack.solvers import REGISTRY, load_certificate, solve_modular_bases, verify_certificate
 
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "golden"
+
+
+def _json_text(instance) -> str:
+    return json.dumps(dump_instance(instance))
+
+
+MODULAR_JSON = (GOLDEN / "modular_u42.json").read_text()
+TREES_JSON = _json_text(naesat_to_modular_trees(parse_dimacs("p cnf 2 1\n1 2 0\n")[0]).instance)
+DIGRAPH_JSON = _json_text(parse_arc_list((GOLDEN / "two_cycle.digraph").read_text()))
+BIPARTITE_JSON = _json_text(parse_bipartite((GOLDEN / "eight_cycle.bipartite").read_text()))
+
+# Each problem and rule fed a well-formed instance of another schema.
+WRONG_SCHEMA = {
+    "solve common-bases": (["solve", "--problem", "common-bases"], TREES_JSON),
+    "solve modular-bases": (["solve", "--problem", "modular-bases"], DIGRAPH_JSON),
+    "solve parity-bases": (["solve", "--problem", "parity-bases"], MODULAR_JSON),
+    "solve modular-trees": (["solve", "--problem", "modular-trees"], DIGRAPH_JSON),
+    "solve naesat": (["solve", "--problem", "naesat"], MODULAR_JSON),
+    "solve even-factor": (["solve", "--problem", "even-factor"], BIPARTITE_JSON),
+    "solve mod4-2factor": (["solve", "--problem", "mod4-2factor"], DIGRAPH_JSON),
+    "reduce r1": (["reduce", "--rule", "r1"], DIGRAPH_JSON),
+    "reduce r2": (["reduce", "--rule", "r2"], TREES_JSON),
+    "reduce r3": (["reduce", "--rule", "r3"], MODULAR_JSON),
+    "reduce r4": (["reduce", "--rule", "r4"], MODULAR_JSON),
+    "reduce r5": (["reduce", "--rule", "r5"], TREES_JSON),
+}
 
 
 def run_cli(argv, stdin_text="", monkeypatch=None, capsys=None):
@@ -164,6 +190,15 @@ class TestParserRobustness:
         with pytest.raises(FormatError):
             load_instance(["not", "a", "dict"])
 
+    @pytest.mark.parametrize("data", [
+        {"schema": "digraph/1", "vertices": 2.5, "arcs": [[0, 1], [1, 0]]},
+        {"schema": "modular-trees-instance/1", "modules": [[0], [1]],
+         "graph": {"vertices": 2.0, "edges": [[0, 1, "a"], [0, 1, "b"]]}},
+    ], ids=["digraph", "modular-trees"])
+    def test_instance_loader_rejects_float_counts(self, data):
+        with pytest.raises(FormatError, match="non-integer"):
+            load_instance(data)
+
 
 class TestCertificateJson:
     def test_modular_round_trip(self):
@@ -188,6 +223,74 @@ class TestCertificateJson:
             "common-bases", json.loads(json.dumps(lifted.to_json())), fresh_instance
         )
         assert verify_certificate("common-bases", fresh_instance, fresh_cert).ok
+
+
+UNIFORM_PAIR_JSON = json.dumps({
+    "schema": "common-bases-instance/1",
+    "m1": {"kind": "uniform", "size": 4, "r": 2},
+    "m2": {"kind": "uniform", "size": 4, "r": 2},
+    "k": 2,
+})
+
+
+def _assignment(values) -> dict:
+    return {"schema": "certificate/naesat/1", "assignment": values}
+
+
+def _modular_cert(first_modules) -> dict:
+    return {"schema": "certificate/modular-bases/1", "first_modules": first_modules,
+            "classes": [{"indices": [0, 1]}, {"indices": [2, 3]}]}
+
+
+def _partition_cert(first_class) -> dict:
+    return {"schema": "certificate/common-bases/1",
+            "classes": [{"indices": first_class}, {"indices": [2, 3]}]}
+
+
+BAD_CERTIFICATES = {
+    "assignment-gap": ("naesat", GOLDEN / "three_clause.cnf",
+                       _assignment({"x1": True, "x5": False})),
+    "assignment-x0": ("naesat", GOLDEN / "three_clause.cnf",
+                      _assignment({"x0": True, "x1": False, "x2": True, "x3": False})),
+    "assignment-string-value": ("naesat", GOLDEN / "three_clause.cnf",
+                                _assignment({"x1": "no", "x2": True, "x3": False, "x4": True})),
+    "assignment-list": ("naesat", GOLDEN / "three_clause.cnf",
+                        _assignment([True, False, True, False])),
+    "module-index-string": ("modular-bases", GOLDEN / "modular_u42.json", _modular_cert(["0"])),
+    "module-index-float": ("modular-bases", GOLDEN / "modular_u42.json", _modular_cert([0.0])),
+    "class-index-string": ("common-bases", None, _partition_cert([0, "1"])),
+    "class-index-float": ("common-bases", None, _partition_cert([0, 1.0])),
+}
+
+
+class TestCertificatePayloads:
+    @pytest.mark.parametrize("case", BAD_CERTIFICATES.values(), ids=BAD_CERTIFICATES.keys())
+    def test_bad_payload_is_exit_two(self, case, monkeypatch, capsys, tmp_path):
+        problem, instance_path, payload = case
+        if instance_path is None:
+            instance_path = tmp_path / "instance.json"
+            instance_path.write_text(UNIFORM_PAIR_JSON)
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(payload))
+        code, out, err = run_cli(
+            ["verify", "--problem", problem, "--instance", str(instance_path),
+             "--certificate", str(cert_path)],
+            monkeypatch=monkeypatch,
+            capsys=capsys,
+        )
+        assert code == 2 and out == ""
+        assert "bad certificate payload" in err
+
+    def test_well_formed_payloads_still_load(self, monkeypatch, capsys, tmp_path):
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(_modular_cert([0])))
+        code, out, _ = run_cli(
+            ["verify", "--problem", "modular-bases", "--instance",
+             str(GOLDEN / "modular_u42.json"), "--certificate", str(cert_path)],
+            monkeypatch=monkeypatch,
+            capsys=capsys,
+        )
+        assert code == 0 and json.loads(out)["answer"] == "VALID"
 
 
 class TestCliExitCodes:
@@ -239,6 +342,48 @@ class TestCliExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("argv, text", WRONG_SCHEMA.values(), ids=WRONG_SCHEMA.keys())
+    def test_wrong_schema_is_exit_two(self, argv, text, monkeypatch, capsys):
+        code, out, err = run_cli(
+            argv + ["-"], stdin_text=text, monkeypatch=monkeypatch, capsys=capsys
+        )
+        assert code == 2 and out == ""
+        assert "expects" in err
+
+    @pytest.mark.parametrize("problem", ["modular-bases", "parity-bases", "modular-trees"])
+    def test_cap_refused_where_solver_has_none(self, problem, monkeypatch, capsys):
+        code, out, err = run_cli(
+            ["solve", "--problem", problem, "--cap", "30", str(GOLDEN / "modular_u42.json")],
+            monkeypatch=monkeypatch,
+            capsys=capsys,
+        )
+        assert code == 2 and out == ""
+        assert "--cap" in err
+
+    def test_verify_refuses_two_stdin_reads(self, monkeypatch, capsys):
+        class Unreadable:
+            def read(self):
+                raise AssertionError("stdin was read")
+
+        monkeypatch.setattr("sys.stdin", Unreadable())
+        code = main(["verify", "--problem", "naesat", "--instance", "-", "--certificate", "-"])
+        assert code == 2
+        assert "stdin" in capsys.readouterr().err
+
+    def test_internal_error_is_exit_four(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("solver bug")
+
+        row = dataclasses.replace(REGISTRY["naesat"], solve=broken)
+        monkeypatch.setitem(REGISTRY, "naesat", row)
+        code, out, err = run_cli(
+            ["solve", "--problem", "naesat", str(GOLDEN / "three_clause.cnf")],
+            monkeypatch=monkeypatch,
+            capsys=capsys,
+        )
+        assert code == EXIT_INTERNAL == 4 and out == ""
+        assert "Traceback" in err and "RuntimeError: solver bug" in err
+
     def test_usage_error(self, monkeypatch, capsys):
         code, _, _ = run_cli(
             ["solve", "--problem", "sudoku", "-"],
@@ -246,6 +391,14 @@ class TestCliExitCodes:
             capsys=capsys,
         )
         assert code == 2
+
+    def test_deeply_nested_json_is_exit_two(self, monkeypatch, capsys):
+        code, out, err = run_cli(
+            ["build", "-"], stdin_text="[" * 100_000 + "]" * 100_000,
+            monkeypatch=monkeypatch, capsys=capsys,
+        )
+        assert code == 2 and out == ""
+        assert "nested too deeply" in err
 
     def test_build_normalizes(self, monkeypatch, capsys):
         text = (GOLDEN / "modular_u42.json").read_text()
@@ -397,6 +550,20 @@ class TestCliPipelines:
         data = json.loads(out)
         assert data["distinguishing_query_index"] is not None
         assert data["candidate_hidden_sets"] == 2
+
+    @pytest.mark.parametrize("descriptor", [
+        {"kind": "free", "size": 2.5},
+        {"kind": "graphic", "graph": {"vertices": 2.0, "edges": [[0, 1, "a"]]}},
+        {"kind": "truncation", "k": 1, "inner": []},
+        [1, 2],
+    ])
+    def test_axioms_malformed_descriptor_is_exit_two(self, descriptor, monkeypatch, capsys):
+        code, out, err = run_cli(
+            ["axioms", "-"], stdin_text=json.dumps(descriptor),
+            monkeypatch=monkeypatch, capsys=capsys,
+        )
+        assert code == 2 and out == ""
+        assert "error:" in err
 
     def test_axioms_cli(self, monkeypatch, capsys):
         code, out, _ = run_cli(

@@ -367,6 +367,30 @@ class TestVerifierRejections:
         with pytest.raises(ValueError):
             verify_certificate("sudoku", None, None)
 
+    @pytest.mark.parametrize("offset", [-1, 1], ids=["negative", "out-of-range"])
+    def test_module_index_outside_range_rejected(self, offset):
+        graph = MultiGraph.build(3, [(0, 1), (1, 2), (0, 1), (1, 2)])
+        modules = PartitionOfGroundSet.build(graph.ground_set(), [[i] for i in range(4)])
+        inst = ModularTreesInstance(graph, modules)
+        cert = solve_modular_trees(inst)
+        # Shifting by the module count names the same block under Python
+        # indexing, so only a range check can tell.
+        first = (cert.first_modules[0] + offset * 4,) + cert.first_modules[1:]
+        bad = ModularCertificate(first, cert.classes)
+        result = verify_certificate("modular-trees", inst, bad)
+        assert not result.ok and "out of range" in result.reason
+
+    def test_disconnected_trees_rejected(self):
+        graph = MultiGraph.build(4, [(0, 1), (0, 1), (2, 3), (2, 3)])
+        ground = graph.ground_set()
+        inst = ModularTreesInstance(
+            graph, PartitionOfGroundSet.build(ground, [[i] for i in range(4)])
+        )
+        forests = ModularCertificate(
+            (0, 2), (ElementSet(ground, [0, 2]), ElementSet(ground, [1, 3]))
+        )
+        assert not verify_certificate("modular-trees", inst, forests).ok
+
     def test_solver_yes_iff_verifier_accepts(self):
         rng = random.Random(251)
         for _ in range(60):
