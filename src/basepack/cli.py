@@ -7,14 +7,15 @@ traceback goes to stderr).  Each problem and rule reads its input
 through the problem registry in :mod:`basepack.solvers`: JSON when the
 input starts with ``{``, else the problem's text format; an instance of
 the wrong schema is a format error.  ``--cap`` applies to the
-common-bases, naesat, even-factor and mod4-2factor solvers only.
+common-bases, naesat, even-factor and mod4-2factor solvers only.  A
+matroid descriptor nested too deeply for its recursive oracles exits 3.
+``gadget verify`` certifies up to ell = 5 blocks on one core.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import traceback
 
@@ -146,7 +147,7 @@ def cmd_gadget(args) -> int:
     if args.labeling:
         labeling = BlockLabeling.from_json(read_json(args.labeling, sys.stdin))
     pair = build_gadget(labeling, args.ell)
-    cert = verify_gadget(pair, workers=args.threads)
+    cert = verify_gadget(pair)
     _emit(cert.to_json(), args.pretty)
     return EXIT_YES if cert.ok else EXIT_NO
 
@@ -252,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["search", "verify"])
     p.add_argument("--ell", type=int, default=1, help="number of blocks to certify")
     p.add_argument("--labeling", default=None, help="labeling JSON (default: built-in)")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker processes for the sweep")
     p.set_defaults(func=cmd_gadget)
 
     p = sub.add_parser("adversary", help="run the oracle-query experiment")
@@ -287,6 +286,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ResourceCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except RecursionError:  # oracles recurse once per descriptor level
+        print("error: input nested too deeply to evaluate (recursion limit)", file=sys.stderr)
         return EXIT_CAP
     except (FormatError, CertificateRejected, UniverseMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

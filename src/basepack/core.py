@@ -94,6 +94,55 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
+def split_blocks(
+    blocks: Sequence[int], k: int, cap: int, indep: Callable[[int], bool]
+) -> Iterator[tuple[int, ...]]:
+    """Yield every assignment of the disjoint ``blocks`` masks to ``k`` classes.
+
+    The one exhaustive search behind the solvers and the gadget
+    certificate.  Blocks are placed in the given order, each into the
+    classes in index order; block 0 goes to class 0 and a block may open
+    only the lowest empty class, so each partition is met once up to
+    renaming its classes.  A grown class must hold at most ``cap``
+    elements and pass ``indep`` (checked in that order), else the search
+    backtracks.  Yields the class masks of each complete assignment,
+    depth-first with an explicit stack, so the block count is not bounded
+    by the recursion limit.
+    """
+    n = len(blocks)
+    classes = [0] * k
+    where = [-1] * n  # class holding block i, -1 while unplaced
+    opened = [0] * (n + 1)  # classes in use before block i is placed
+    step = 0
+    while True:
+        if step == n:
+            yield tuple(classes)
+            if step == 0:
+                return
+            step -= 1
+        block = blocks[step]
+        c = where[step]
+        if c >= 0:
+            classes[c] ^= block
+        limit = min(opened[step] + 1, k)
+        c += 1
+        while c < limit:
+            grown = classes[c] | block
+            if grown.bit_count() <= cap and indep(grown):
+                break
+            c += 1
+        if c < limit:
+            classes[c] |= block
+            where[step] = c
+            opened[step + 1] = max(opened[step], c + 1)
+            step += 1
+        else:
+            where[step] = -1
+            if step == 0:
+                return
+            step -= 1
+
+
 class ElementSet:
     """A subset of a ground set with bitset semantics.
 

@@ -133,6 +133,8 @@ def _labels_of(ground: GroundSet) -> Optional[list[str]]:
 def _apply_labels(matroid: Matroid, labels: Optional[list[str]]) -> Matroid:
     if labels is None:
         return matroid
+    if not isinstance(labels, list) or not all(isinstance(t, str) for t in labels):
+        raise FormatError("labels must be a list of strings")
     ground = GroundSet(matroid.ground.size, tuple(labels))
     return Matroid(ground, matroid.kind, matroid.indep_mask, matroid.descriptor)
 

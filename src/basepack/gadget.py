@@ -19,7 +19,7 @@ sizes.  The defining property is recovered by search: only the two K4
 label orderings matter (a pendant edge is a coloop of its graph and the
 i edges only ever pair with their parallel partner, so attachment
 vertices cannot change either matroid), and each candidate ordering is
-certified by exhaustive sweep at ell = 1 and 2 before being accepted.
+certified by exhaustive search at ell = 1 and 2 before being accepted.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import ElementSet, GroundSet, Matroid, ResourceCapExceeded
+from .core import ElementSet, GroundSet, Matroid, ResourceCapExceeded, split_blocks
 from .constructions import graphic_matroid
 from .graphs import MultiGraph
 
@@ -45,7 +45,7 @@ COPATH_EDGES = ((2, 0), (0, 3), (3, 1))
 FIRST_PENDANTS = {"g": (0, 4), "h": (0, 5)}
 SECOND_PENDANTS = {"e": (0, 4), "f": (0, 5)}
 
-VERIFY_ELL_CAP = 3
+VERIFY_ELL_CAP = 5
 
 
 @dataclass(frozen=True)
@@ -195,7 +195,7 @@ def build_gadget(labeling: BlockLabeling, ell: int) -> GadgetPair:
 
 @dataclass(frozen=True)
 class GadgetCertificate:
-    """Outcome of the exhaustive bipartition sweep over a gadget pair."""
+    """Outcome of the exhaustive bipartition search over a gadget pair."""
 
     ell: int
     ok_a: bool
@@ -243,41 +243,22 @@ class GadgetCertificate:
         }
 
 
-def _sweep(
-    labeling: BlockLabeling,
-    ell: int,
-    start: int,
-    stop: int,
-    stop_on_violation: bool,
-) -> dict:
-    """Sweep bipartitions S1/S2 (element 0 fixed in S1) for masks in [start, stop).
+def verify_gadget(pair: GadgetPair, stop_on_violation: bool = False) -> GadgetCertificate:
+    """Exhaustively certify conditions (a) and (b) for a gadget pair.
 
-    Returns feasible count, the first size violation, structure flags,
-    and the first size-(5ell, 4ell) witness encountered.
+    Enumerates with :func:`split_blocks` every split of the elements into
+    two classes independent in both matroids, the first element's side
+    fixed (conditions (a) and (b) are symmetric under swapping the
+    classes), and checks the sizes and the per-block structure of each.
+    Refuses ell > VERIFY_ELL_CAP.
     """
-    pair = build_gadget(labeling, ell)
+    ell = pair.ell
+    if ell > VERIFY_ELL_CAP:
+        raise ResourceCapExceeded(f"gadget search capped at ell <= {VERIFY_ELL_CAP}")
+    started = time.monotonic()
     n = 9 * ell
-    full = (1 << n) - 1
-    first_ends = pair.first_graph.endpoints()
-    second_ends = pair.second_graph.endpoints()
-    vcount = 6 * ell
-
-    def forest(ends, mask: int) -> bool:
-        parent = list(range(vcount))
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            u, v = ends[low.bit_length() - 1]
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            if u == v:
-                return False
-            parent[u] = v
-        return True
+    forest1 = pair.first_graph.is_forest_mask
+    forest2 = pair.second_graph.is_forest_mask
 
     block_masks = [sum(1 << (9 * j + t) for t in range(9)) for j in range(ell)]
     efgh_masks = [sum(1 << (9 * j + LETTERS.index(t)) for t in "efgh") for j in range(ell)]
@@ -292,17 +273,8 @@ def _sweep(
     i_ok = True
     split53_ok = True
 
-    for half in range(start, stop):
-        s1 = (half << 1) | 1
-        if not forest(first_ends, s1):
-            continue
-        s2 = full ^ s1
-        if not forest(first_ends, s2):
-            continue
-        if not forest(second_ends, s1):
-            continue
-        if not forest(second_ends, s2):
-            continue
+    singletons = [1 << e for e in range(n)]
+    for s1, s2 in split_blocks(singletons, 2, n, lambda m: forest1(m) and forest2(m)):
         feasible += 1
         size1 = s1.bit_count()
         if {size1, n - size1} != target_sizes:
@@ -330,65 +302,8 @@ def _sweep(
             if {hat1, 8 - hat1} != {5, 3}:
                 split53_ok = False
 
-    return {
-        "feasible": feasible,
-        "witness": witness,
-        "violation": violation,
-        "efgh_ok": efgh_ok,
-        "i_ok": i_ok,
-        "split53_ok": split53_ok,
-    }
-
-
-def _sweep_json(args: tuple) -> dict:
-    labeling_json, ell, start, stop, stop_on_violation = args
-    return _sweep(BlockLabeling.from_json(labeling_json), ell, start, stop, stop_on_violation)
-
-
-def verify_gadget(
-    pair: GadgetPair,
-    workers: int = 1,
-    stop_on_violation: bool = False,
-) -> GadgetCertificate:
-    """Exhaustively certify conditions (a) and (b) for a gadget pair.
-
-    Sweeps all 2^(9*ell - 1) bipartitions, fixing the first element's
-    side (conditions (a) and (b) are symmetric under swapping the
-    classes).  Refuses ell > 3.  With ``workers`` > 1 the mask range is
-    split across processes and results merged (AND for (b), first-found
-    for (a)); each worker rebuilds the immutable gadget locally.
-    """
-    ell = pair.ell
-    if ell > VERIFY_ELL_CAP:
-        raise ResourceCapExceeded(f"gadget sweep capped at ell <= {VERIFY_ELL_CAP}")
-    started = time.monotonic()
-    n = 9 * ell
-    total = 1 << (n - 1)
-    if total < 1 << 12:
-        workers = 1  # process fan-out costs more than the sweep itself
-
-    if workers > 1:
-        import multiprocessing
-
-        chunk = (total + workers - 1) // workers
-        jobs = [
-            (pair.labeling.to_json(), ell, lo, min(lo + chunk, total), stop_on_violation)
-            for lo in range(0, total, chunk)
-        ]
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_sweep_json, jobs)
-    else:
-        parts = [_sweep(pair.labeling, ell, 0, total, stop_on_violation)]
-
-    feasible = sum(p["feasible"] for p in parts)
-    witness = next((p["witness"] for p in parts if p["witness"]), None)
-    violation = next((p["violation"] for p in parts if p["violation"]), None)
-    efgh_ok = all(p["efgh_ok"] for p in parts)
-    i_ok = all(p["i_ok"] for p in parts)
-    split53_ok = all(p["split53_ok"] for p in parts)
-
     # Report the canonical witness whenever the oracles confirm it; the
-    # sweep's first find is kept only as a fallback.
+    # search's first find is kept only as a fallback.
     canon_large, canon_small = pair.canonical_split()
     if (
         len(canon_large) == 5 * ell

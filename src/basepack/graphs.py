@@ -10,7 +10,46 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .core import GroundSet, bits_of
+from .core import GroundSet
+
+
+# The set bit positions of each byte value, for walking a mask byte by byte.
+_BYTE_BITS = tuple(tuple(b for b in range(8) if x >> b & 1) for x in range(256))
+
+
+def union_find(
+    vertex_count: int, ends: Sequence[tuple[int, int]], mask: int, forest: bool = False
+) -> int:
+    """Connected components of the graph on ``vertex_count`` vertices with the
+    edges (indices into ``ends``) selected by ``mask``.
+
+    The one union-find pass of the package.  It stops as soon as one
+    component is left; with ``forest`` it returns -1 at the first edge
+    that closes a cycle, self-loops included.  The mask is read a byte at
+    a time, which skips empty bytes whole and, unlike peeling off the
+    lowest set bit, costs no big-integer operation per edge.
+    """
+    parent = list(range(vertex_count))
+    comps = vertex_count
+    for j, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) // 8, "little")):
+        if not byte:
+            continue
+        for b in _BYTE_BITS[byte]:
+            u, v = ends[8 * j + b]
+            while parent[u] != u:
+                parent[u] = parent[parent[u]]
+                u = parent[u]
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            if u != v:
+                parent[u] = v
+                comps -= 1
+                if comps == 1:
+                    return -1 if forest and mask >> 8 * j + b + 1 else 1
+            elif forest:
+                return -1
+    return comps
 
 
 @dataclass(frozen=True)
@@ -46,6 +85,8 @@ class MultiGraph:
         labels = [label for _, _, label in self.edges]
         if len(set(labels)) != len(labels):
             raise ValueError("edge labels must be unique")
+        # Kept beside the edges for the union-find queries.
+        object.__setattr__(self, "_ends", tuple((u, v) for u, v, _ in self.edges))
 
     @property
     def edge_count(self) -> int:
@@ -55,49 +96,17 @@ class MultiGraph:
         return GroundSet(len(self.edges), tuple(label for _, _, label in self.edges))
 
     def endpoints(self) -> tuple[tuple[int, int], ...]:
-        return tuple((u, v) for u, v, _ in self.edges)
+        return self._ends
 
     def is_forest_mask(self, mask: int) -> bool:
-        """Union-find cycle detection over the edges selected by ``mask``."""
-        parent = list(range(self.vertex_count))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        edges = self.edges
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            u, v, _ = edges[low.bit_length() - 1]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
+        """True iff the edges selected by ``mask`` form a forest."""
+        return union_find(self.vertex_count, self._ends, mask, forest=True) >= 0
 
     def component_count(self, mask: Optional[int] = None) -> int:
         """Connected components of the subgraph on all vertices, given edge mask."""
         if mask is None:
             mask = (1 << len(self.edges)) - 1
-        parent = list(range(self.vertex_count))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        comps = self.vertex_count
-        for idx in bits_of(mask):
-            u, v, _ = self.edges[idx]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                comps -= 1
-        return comps
+        return union_find(self.vertex_count, self._ends, mask)
 
     def is_connected(self) -> bool:
         return self.vertex_count <= 1 or self.component_count() == 1

@@ -13,7 +13,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
-from .core import DEFAULT_EXHAUSTIVE_CAP, ElementSet, ResourceCapExceeded, mask_of
+from .core import (
+    DEFAULT_EXHAUSTIVE_CAP,
+    ElementSet,
+    GroundSet,
+    ResourceCapExceeded,
+    mask_of,
+    split_blocks,
+)
 from .certificates import (
     ArcSetCertificate,
     AssignmentCertificate,
@@ -22,7 +29,7 @@ from .certificates import (
     PartitionCertificate,
 )
 from .formats import FormatError, parse_arc_list, parse_bipartite, parse_dimacs
-from .graphs import BipartiteGraph, Digraph, two_factor_cycles
+from .graphs import BipartiteGraph, Digraph, two_factor_cycles, union_find
 from .instances import (
     CnfFormula,
     CommonBasesInstance,
@@ -49,11 +56,10 @@ def solve_common_bases(
 ) -> Optional[PartitionCertificate]:
     """Partition the ground set into k common bases, or return None.
 
-    k = 2 sweeps all candidate first classes of the right size with
-    element 0 pinned to the first class (the two classes are
-    interchangeable); larger k assigns elements to classes by
-    backtracking, pruning on class size and on independence in both
-    matroids.
+    Assigns the elements in index order to the k classes with
+    :func:`split_blocks`, which breaks the symmetry between classes and
+    prunes on class size and on independence in both matroids.  At k = 2
+    the first answer is the lexicographically first valid first class.
     """
     n = inst.ground.size
     if n > cap:
@@ -61,49 +67,27 @@ def solve_common_bases(
     r1, r2 = inst.m1.full_rank, inst.m2.full_rank
     if r1 != r2 or n != inst.k * r1:
         return None
-    r = r1
     i1, i2 = inst.m1.indep_mask, inst.m2.indep_mask
-    ground = inst.ground
-
-    if n == 0:
-        empty = ElementSet.from_mask(ground, 0)
-        return PartitionCertificate(tuple(empty for _ in range(inst.k)))
-
-    if inst.k == 2:
-        full = ground.full_mask
-        for combo in itertools.combinations(range(1, n), r - 1):
-            first = 1 | mask_of(combo)
-            if not (i1(first) and i2(first)):
-                continue
-            second = full ^ first
-            if i1(second) and i2(second):
-                return PartitionCertificate(
-                    (
-                        ElementSet.from_mask(ground, first),
-                        ElementSet.from_mask(ground, second),
-                    )
-                )
-        return None
-
-    classes = [0] * inst.k
-
-    def assign(e: int, used: int) -> bool:
-        if e == n:
-            return True
-        for c in range(min(used + 1, inst.k)):
-            grown = classes[c] | (1 << e)
-            if grown.bit_count() <= r and i1(grown) and i2(grown):
-                classes[c] = grown
-                if assign(e + 1, max(used, c + 1)):
-                    return True
-                classes[c] ^= 1 << e
-        return False
-
-    if not assign(0, 0):
-        return None
-    return PartitionCertificate(
-        tuple(ElementSet.from_mask(ground, m) for m in classes)
+    classes = next(
+        split_blocks([1 << e for e in range(n)], inst.k, r1, lambda m: i1(m) and i2(m)), None
     )
+    if classes is None:
+        return None
+    return PartitionCertificate(tuple(ElementSet.from_mask(inst.ground, m) for m in classes))
+
+
+def _split_modules(
+    ground: GroundSet, blocks: Sequence[ElementSet], cap: int, indep: Callable[[int], bool]
+) -> Optional[ModularCertificate]:
+    """The first split of the modules into two classes of at most ``cap``
+    elements passing ``indep``; modules go in by descending size, ties by
+    index, and the largest is pinned to the first class."""
+    order = sorted(blocks, key=lambda b: -len(b))
+    classes = next(split_blocks([b.mask for b in order], 2, cap, indep), None)
+    if classes is None:
+        return None
+    first = [i for i, b in enumerate(blocks) if b.mask & classes[0]]
+    return ModularCertificate.from_modules(ground, blocks, first)
 
 
 def solve_modular_bases(
@@ -113,173 +97,36 @@ def solve_modular_bases(
 
     Also answers parity instances, whose modules are pairs; those whose
     size is not twice the rank are infeasible by counting and answered
-    None directly.  Depth-first over modules in descending size order
-    (ties by index), the largest module pinned to the first class;
-    prunes on class size and on independence of the grown class.
+    None directly.  Prunes on class size and on independence.
     """
     matroid = inst.matroid
     r = matroid.full_rank
     if matroid.ground.size != 2 * r:
         return None
-    indep = matroid.indep_mask
-    blocks = inst.modules.blocks
-    masks = [b.mask for b in blocks]
-    order = sorted(range(len(masks)), key=lambda i: (-masks[i].bit_count(), i))
-
-    picked: list[int] = []
-
-    def place(step: int, mask_a: int, size_a: int, mask_b: int, size_b: int) -> bool:
-        if step == len(order):
-            return True
-        block = masks[order[step]]
-        size = block.bit_count()
-        if size_a + size <= r:
-            grown = mask_a | block
-            if indep(grown):
-                picked.append(order[step])
-                if place(step + 1, grown, size_a + size, mask_b, size_b):
-                    return True
-                picked.pop()
-        if step > 0 and size_b + size <= r:
-            grown = mask_b | block
-            if indep(grown):
-                if place(step + 1, mask_a, size_a, grown, size_b + size):
-                    return True
-        return False
-
-    if not place(0, 0, 0, 0, 0):
-        return None
-    return ModularCertificate.from_modules(matroid.ground, blocks, picked)
+    return _split_modules(matroid.ground, inst.modules.blocks, r, matroid.indep_mask)
 
 
 solve_parity_bases = solve_modular_bases
 
 
-class _RollbackForest:
-    """Union-find without path compression, so unions can be undone."""
-
-    __slots__ = ("parent", "size", "trail", "components")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.trail: list[int] = []
-        self.components = n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def add_edges(self, idxs: Sequence[int], ends: Sequence[tuple[int, int]]) -> Optional[int]:
-        """Union the endpoints of each edge; None and self-rollback on a cycle."""
-        mark = len(self.trail)
-        for i in idxs:
-            u, v = ends[i]
-            ru, rv = self.find(u), self.find(v)
-            if ru == rv:
-                self.rollback(mark)
-                return None
-            if self.size[ru] > self.size[rv]:
-                ru, rv = rv, ru
-            self.parent[ru] = rv
-            self.size[rv] += self.size[ru]
-            self.components -= 1
-            self.trail.append(ru)
-        return mark
-
-    def rollback(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            ru = self.trail.pop()
-            rv = self.parent[ru]
-            self.size[rv] -= self.size[ru]
-            self.parent[ru] = ru
-            self.components += 1
-
-
 def solve_modular_trees(inst: ModularTreesInstance) -> Optional[ModularCertificate]:
     """Partition the edges into two modular spanning trees, or return None.
 
-    Specialized graph sweep: besides forest pruning it rejects a branch
-    as soon as a class plus every still-unassigned module can no longer
-    connect the graph, which is what makes tightly packed instances
-    tractable.  Cross-checked against the generic modular solver on the
-    graphic matroid.
+    The modular-bases search on the graphic matroid, plus a prune: a
+    class may grow only while the edges outside it, which are the other
+    class and every still-unassigned module, still connect the graph.
+    This is what makes tightly packed instances tractable.
     """
     if not inst.shape_feasible():
         return None
     graph = inst.graph
-    n_vertices = graph.vertex_count
-    ends = graph.endpoints()
-    half = n_vertices - 1
-    blocks = inst.modules.blocks
-    order = sorted(range(len(blocks)), key=lambda i: (-len(blocks[i]), i))
-    module_edges = [sorted(blocks[i]) for i in order]
+    n_vertices, ends = graph.vertex_count, graph.endpoints()
+    full = (1 << graph.edge_count) - 1
 
-    # suffix_edges[k]: edges of modules still unassigned at step k.
-    suffix_edges: list[list[int]] = [[] for _ in range(len(order) + 1)]
-    for k in range(len(order) - 1, -1, -1):
-        suffix_edges[k] = module_edges[k] + suffix_edges[k + 1]
+    def grows(mask: int) -> bool:
+        return graph.is_forest_mask(mask) and union_find(n_vertices, ends, full ^ mask) == 1
 
-    forest_a = _RollbackForest(n_vertices)
-    forest_b = _RollbackForest(n_vertices)
-
-    def spannable(forest: _RollbackForest, step: int) -> bool:
-        if forest.components == 1:
-            return True
-        mark = len(forest.trail)
-        parent = forest.parent
-        size = forest.size
-        trail = forest.trail
-        for i in suffix_edges[step]:
-            u, v = ends[i]
-            while parent[u] != u:
-                u = parent[u]
-            while parent[v] != v:
-                v = parent[v]
-            if u == v:
-                continue
-            if size[u] > size[v]:
-                u, v = v, u
-            parent[u] = v
-            size[v] += size[u]
-            trail.append(u)
-            forest.components -= 1
-            if forest.components == 1:
-                break
-        ok = forest.components == 1
-        forest.rollback(mark)
-        return ok
-
-    picked: list[int] = []
-
-    def place(step: int, size_a: int, size_b: int) -> bool:
-        if step == len(order):
-            return size_a == half and size_b == half
-        edges = module_edges[step]
-        size = len(edges)
-        if size_a + size <= half:
-            mark = forest_a.add_edges(edges, ends)
-            if mark is not None:
-                if spannable(forest_a, step + 1) and spannable(forest_b, step + 1):
-                    picked.append(order[step])
-                    if place(step + 1, size_a + size, size_b):
-                        return True
-                    picked.pop()
-                forest_a.rollback(mark)
-        if step > 0 and size_b + size <= half:
-            mark = forest_b.add_edges(edges, ends)
-            if mark is not None:
-                if spannable(forest_a, step + 1) and spannable(forest_b, step + 1):
-                    if place(step + 1, size_a, size_b + size):
-                        return True
-                forest_b.rollback(mark)
-        return False
-
-    if not place(0, 0, 0):
-        return None
-    return ModularCertificate.from_modules(graph.ground_set(), blocks, picked)
+    return _split_modules(graph.ground_set(), inst.modules.blocks, n_vertices - 1, grows)
 
 
 def solve_naesat(

@@ -27,6 +27,7 @@ from basepack.constructions import (
     uniform_matroid,
 )
 from basepack.fields import Matrix, gf
+from basepack.gadget import LETTERS
 from basepack.graphs import BipartiteGraph, Digraph, MultiGraph
 from basepack.instances import CommonBasesInstance, ModularInstance
 
@@ -360,3 +361,76 @@ def oracle_equal(m1: Matroid, m2: Matroid) -> bool:
         if m1.indep_mask(mask) != m2.indep_mask(mask):
             return False
     return True
+
+
+def reference_gadget_sweep(pair) -> dict:
+    """The mask sweep over all 2^(9*ell - 1) bipartitions of a gadget pair.
+
+    Element 0 is fixed in the first class; each class is tested for being
+    a forest in both graphs with its own union-find.  Returns the feasible
+    count, the first size-(5*ell, 4*ell) witness (large class first), the
+    first size violation and the three per-block structure flags, for
+    checking ``verify_gadget`` against.
+    """
+    ell = pair.ell
+    n = 9 * ell
+    full = (1 << n) - 1
+    first_ends = pair.first_graph.endpoints()
+    second_ends = pair.second_graph.endpoints()
+    vcount = 6 * ell
+
+    def forest(ends, mask: int) -> bool:
+        parent = list(range(vcount))
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            u, v = ends[low.bit_length() - 1]
+            while parent[u] != u:
+                parent[u] = parent[parent[u]]
+                u = parent[u]
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            if u == v:
+                return False
+            parent[u] = v
+        return True
+
+    block_masks = [sum(1 << (9 * j + t) for t in range(9)) for j in range(ell)]
+    efgh_masks = [sum(1 << (9 * j + LETTERS.index(t)) for t in "efgh") for j in range(ell)]
+    i_bits = [1 << (9 * j + 8) for j in range(ell)]
+    hat_masks = [block_masks[j] & ~i_bits[j] for j in range(ell)]
+    target_sizes = {5 * ell, 4 * ell}
+    out = {"feasible": 0, "witness": None, "violation": None,
+           "efgh_ok": True, "i_ok": True, "split53_ok": True}
+
+    for half in range(1 << (n - 1)):
+        s1 = (half << 1) | 1
+        s2 = full ^ s1
+        if not (forest(first_ends, s1) and forest(first_ends, s2)
+                and forest(second_ends, s1) and forest(second_ends, s2)):
+            continue
+        out["feasible"] += 1
+        size1 = s1.bit_count()
+        if {size1, n - size1} != target_sizes:
+            if out["violation"] is None:
+                out["violation"] = (s1, s2)
+        elif out["witness"] is None:
+            out["witness"] = (s1, s2) if size1 == 5 * ell else (s2, s1)
+        agreed_class = None
+        for j in range(ell):
+            inside = s1 & efgh_masks[j]
+            if inside != 0 and inside != efgh_masks[j]:
+                out["efgh_ok"] = False
+                break
+            cls = 1 if inside else 2
+            if agreed_class is None:
+                agreed_class = cls
+            elif cls != agreed_class:
+                out["i_ok"] = False
+            if (cls == 1) == bool(s1 & i_bits[j]):
+                out["i_ok"] = False
+            hat1 = (s1 & hat_masks[j]).bit_count()
+            if {hat1, 8 - hat1} != {5, 3}:
+                out["split53_ok"] = False
+    return out

@@ -199,6 +199,19 @@ class TestParserRobustness:
         with pytest.raises(FormatError, match="non-integer"):
             load_instance(data)
 
+    @pytest.mark.parametrize("labels", ["abcd", ["a", "b", "c", 4], {"a": 0}],
+                             ids=["string", "non-string-item", "object"])
+    def test_labels_must_be_a_list_of_strings(self, labels, monkeypatch, capsys):
+        text = json.dumps({"schema": "modular-instance/1",
+                           "matroid": {"kind": "uniform", "size": 4, "r": 2},
+                           "modules": [[0, 1], [2, 3]], "labels": labels})
+        code, out, err = run_cli(
+            ["solve", "--problem", "modular-bases", "-"], stdin_text=text,
+            monkeypatch=monkeypatch, capsys=capsys,
+        )
+        assert code == 2 and out == ""
+        assert "labels must be a list of strings" in err
+
 
 class TestCertificateJson:
     def test_modular_round_trip(self):
@@ -400,6 +413,19 @@ class TestCliExitCodes:
         assert code == 2 and out == ""
         assert "nested too deeply" in err
 
+    def test_descriptor_too_deep_for_oracles_is_exit_three(self, monkeypatch, capsys):
+        descriptor = {"kind": "uniform", "size": 2, "r": 1}
+        for _ in range(600):
+            descriptor = {"kind": "dual", "inner": descriptor}
+        text = json.dumps({"schema": "modular-instance/1", "matroid": descriptor,
+                           "modules": [[0], [1]]})
+        code, out, err = run_cli(
+            ["solve", "--problem", "modular-bases", "-"], stdin_text=text,
+            monkeypatch=monkeypatch, capsys=capsys,
+        )
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "nested too deeply" in err
+
     def test_build_normalizes(self, monkeypatch, capsys):
         text = (GOLDEN / "modular_u42.json").read_text()
         code, out, _ = run_cli(
@@ -527,13 +553,44 @@ class TestCliPipelines:
 
     def test_gadget_verify_cli(self, monkeypatch, capsys):
         code, out, _ = run_cli(
-            ["gadget", "verify", "--ell", "1", "--threads", "1"],
+            ["gadget", "verify", "--ell", "1"],
             monkeypatch=monkeypatch,
             capsys=capsys,
         )
         assert code == 0
         data = json.loads(out)
         assert data["ok"] and data["condition_b"]["holds"]
+
+    def test_gadget_verify_cli_four_blocks(self, monkeypatch, capsys):
+        code, out, _ = run_cli(
+            ["gadget", "verify", "--ell", "4"], monkeypatch=monkeypatch, capsys=capsys
+        )
+        assert code == 0
+        assert json.loads(out)["feasible_bipartitions"] == 4**4
+
+    def test_solve_thousands_of_modules(self, monkeypatch, capsys, tmp_path):
+        # One search level per module: deeper than the recursion limit.
+        instance_path = tmp_path / "instance.json"
+        instance_path.write_text(json.dumps({
+            "schema": "modular-instance/1",
+            "matroid": {"kind": "uniform", "size": 2400, "r": 1200},
+            "modules": [[i] for i in range(2400)],
+        }))
+        code, out, _ = run_cli(
+            ["solve", "--problem", "modular-bases", str(instance_path)],
+            monkeypatch=monkeypatch,
+            capsys=capsys,
+        )
+        assert code == 0
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(out)
+        code, out, _ = run_cli(
+            ["verify", "--problem", "modular-bases", "--instance", str(instance_path),
+             "--certificate", str(cert_path)],
+            monkeypatch=monkeypatch,
+            capsys=capsys,
+        )
+        assert code == 0 and json.loads(out)["answer"] == "VALID"
 
     def test_gadget_search_cli(self, monkeypatch, capsys):
         code, out, _ = run_cli(

@@ -1,5 +1,6 @@
 """The certified gadget pair: search, structure, and exhaustive sweeps."""
 
+import itertools
 import json
 
 import pytest
@@ -20,6 +21,8 @@ from basepack.gadget import (
     search_block_labeling,
     verify_gadget,
 )
+
+from helpers import reference_gadget_sweep
 
 
 class TestSearch:
@@ -100,23 +103,76 @@ class TestVerify:
             assert pair.second_matroid.is_independent(side)
         assert cert.witness_large.mask | cert.witness_small.mask == pair.ground.full_mask
 
-    def test_parallel_sweep_agrees(self):
-        pair = default_gadget(2)
-        seq = verify_gadget(pair, workers=1)
-        par = verify_gadget(pair, workers=2)
-        assert seq.ok == par.ok
-        assert seq.feasible_bipartitions == par.feasible_bipartitions
-        assert seq.witness_large == par.witness_large
+    @pytest.mark.parametrize("ell", [3, 4])
+    def test_certificate_past_two_blocks(self, ell):
+        cert = verify_gadget(default_gadget(ell))
+        assert cert.ok and cert.structure_ok
+        assert cert.feasible_bipartitions == 4**ell
 
     def test_ell_cap(self):
         with pytest.raises(ResourceCapExceeded):
-            verify_gadget(default_gadget(4))
+            verify_gadget(default_gadget(6))
 
     def test_certificate_json(self):
         cert = verify_gadget(default_gadget(1))
         data = cert.to_json()
         text = json.dumps(data)
         assert "condition_a" in text and data["ok"] is True
+
+
+def _is_common_split(pair, large, small) -> bool:
+    """Two disjoint classes covering the ground set, each independent in both matroids."""
+    if large.mask & small.mask or large.mask | small.mask != pair.ground.full_mask:
+        return False
+    return all(
+        m.is_independent(side)
+        for m in (pair.first_matroid, pair.second_matroid)
+        for side in (large, small)
+    )
+
+
+def _agrees_with_reference(pair) -> None:
+    cert = verify_gadget(pair)
+    ref = reference_gadget_sweep(pair)
+    assert cert.ok_a == (ref["witness"] is not None)
+    assert cert.ok_b == (ref["violation"] is None)
+    assert cert.feasible_bipartitions == ref["feasible"]
+    assert cert.efgh_always_together == ref["efgh_ok"]
+    assert cert.i_always_opposite == ref["i_ok"]
+    assert cert.blocks_always_split_53 == ref["split53_ok"]
+    ell = pair.ell
+    if cert.ok_a:
+        assert (len(cert.witness_large), len(cert.witness_small)) == (5 * ell, 4 * ell)
+        assert _is_common_split(pair, cert.witness_large, cert.witness_small)
+    if cert.counterexample is not None:
+        s1, s2 = cert.counterexample
+        assert {len(s1), len(s2)} != {5 * ell, 4 * ell}
+        assert _is_common_split(pair, s1, s2)
+
+
+ALL_LABELINGS = [
+    BlockLabeling(fp, fc, sp, sc)
+    for fp in itertools.permutations("abc")
+    for fc in itertools.permutations("def")
+    for sp in itertools.permutations("abc")
+    for sc in itertools.permutations("dgh")
+]
+
+
+class TestReferenceSweep:
+    """verify_gadget against the plain mask sweep over every bipartition."""
+
+    def test_every_labeling_at_one_block(self):
+        assert len(ALL_LABELINGS) == 1296
+        for labeling in ALL_LABELINGS:
+            _agrees_with_reference(build_gadget(labeling, 1))
+
+    @pytest.mark.parametrize("labeling", [
+        DEFAULT_LABELING,
+        BlockLabeling(("a", "b", "c"), ("d", "e", "f"), ("a", "b", "c"), ("d", "g", "h")),
+    ], ids=["default", "alphabetical"])
+    def test_two_blocks(self, labeling):
+        _agrees_with_reference(build_gadget(labeling, 2))
 
 
 class TestLabelingJson:
