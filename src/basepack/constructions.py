@@ -143,7 +143,7 @@ def transversal_matroid(graph: BipartiteGraph) -> Matroid:
     adj = graph.adjacency()
 
     def indep(mask: int) -> bool:
-        return saturates(adj, list(bits_of(mask)))
+        return saturates(adj, bits_of(mask))
 
     desc = {"kind": "transversal", "graph": graph.to_json()}
     return Matroid(graph.left, "transversal", indep, desc)
@@ -187,36 +187,40 @@ def linear_matroid(matrix: Matrix, labels: Optional[Sequence[str]] = None) -> Ma
 
 
 def direct_sum(m1: Matroid, m2: Matroid) -> Matroid:
-    """Disjoint union: independent iff both projections are independent.
-
-    The second ground set is shifted past the first.  Labels are merged
-    when both sides have them and stay unique, otherwise dropped.
-    """
-    n1 = m1.ground.size
-    n2 = m2.ground.size
-    labels = None
-    if m1.ground.labels is not None and m2.ground.labels is not None:
-        merged = m1.ground.labels + m2.ground.labels
-        if len(set(merged)) == len(merged):
-            labels = merged
-    ground = GroundSet(n1 + n2, labels)
-    low = (1 << n1) - 1
-    i1, i2 = m1.indep_mask, m2.indep_mask
-
-    def indep(mask: int) -> bool:
-        return i1(mask & low) and i2(mask >> n1)
-
-    desc = {"kind": "direct-sum", "parts": [m1.descriptor, m2.descriptor]}
-    return Matroid(ground, "direct-sum", indep, desc)
+    """Disjoint union of two matroids; see :func:`direct_sum_all`."""
+    return direct_sum_all([m1, m2])
 
 
 def direct_sum_all(parts: Sequence[Matroid]) -> Matroid:
-    if not parts:
-        return free_matroid(GroundSet(0))
-    out = parts[0]
-    for m in parts[1:]:
-        out = direct_sum(out, m)
-    return out
+    """Disjoint union: independent iff every part's projection is independent.
+
+    Each ground set is shifted past the ones before it.  The parts are
+    queried left to right, stopping at the first dependent projection,
+    and the descriptor lists every part in one flat ``parts`` list.
+    Labels are merged when every part has them and they stay unique,
+    otherwise dropped.  A single part is returned as it is.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    labels = None
+    if parts and all(m.ground.labels is not None for m in parts):
+        merged = tuple(t for m in parts for t in m.ground.labels)
+        if len(set(merged)) == len(merged):
+            labels = merged
+    pieces = []  # (shift, width mask, oracle) per part
+    size = 0
+    for m in parts:
+        pieces.append((size, (1 << m.ground.size) - 1, m.indep_mask))
+        size += m.ground.size
+
+    def indep(mask: int) -> bool:
+        for shift, width, inner in pieces:
+            if not inner(mask >> shift & width):
+                return False
+        return True
+
+    desc = {"kind": "direct-sum", "parts": [m.descriptor for m in parts]}
+    return Matroid(GroundSet(size, labels), "direct-sum", indep, desc)
 
 
 def truncate(matroid: Matroid, k: int) -> Matroid:

@@ -240,11 +240,13 @@ class Matroid:
     independent, independence is closed downward, and independent sets of
     unequal size admit an exchange element.
 
-    ``descriptor`` is a JSON-friendly construction tree used for
-    serialization; oracles built ad hoc may leave it as a bare kind tag.
+    ``indep_mask`` is the oracle itself, stored as given, so a query
+    costs no forwarding call.  ``descriptor`` is a JSON-friendly
+    construction tree used for serialization; oracles built ad hoc may
+    leave it as a bare kind tag.
     """
 
-    __slots__ = ("ground", "kind", "_indep", "descriptor", "_rank_full")
+    __slots__ = ("ground", "kind", "indep_mask", "descriptor", "_rank_full")
 
     def __init__(
         self,
@@ -255,27 +257,30 @@ class Matroid:
     ):
         self.ground = ground
         self.kind = kind
-        self._indep = indep
+        self.indep_mask = indep
         self.descriptor = descriptor if descriptor is not None else {"kind": kind}
         self._rank_full: Optional[int] = None
 
-    def indep_mask(self, mask: int) -> bool:
-        return self._indep(mask)
+    def with_labels(self, labels: Sequence[str]) -> "Matroid":
+        """The same oracle and descriptor over a ground set with new labels."""
+        ground = GroundSet(self.ground.size, tuple(labels))
+        return Matroid(ground, self.kind, self.indep_mask, self.descriptor)
 
     def is_independent(self, subset: ElementSet) -> bool:
         if subset.universe.size != self.ground.size:
             raise UniverseMismatch(
                 f"subset over {subset.universe.size} elements, matroid over {self.ground.size}"
             )
-        return self._indep(subset.mask)
+        return self.indep_mask(subset.mask)
 
     def rank_mask(self, mask: int) -> int:
         """Greedy rank: scan elements in ascending index order, keep what stays independent."""
+        indep = self.indep_mask
         kept = 0
         rest = mask
         while rest:
             low = rest & -rest
-            if self._indep(kept | low):
+            if indep(kept | low):
                 kept |= low
             rest ^= low
         return kept.bit_count()
@@ -476,64 +481,52 @@ def check_basis_axioms(family: Sequence[ElementSet]) -> AxiomReport:
 
 
 class QueryLog:
-    """Distinct independence queries, in first-query order.
+    """Distinct independence queries and their answers, in first-query order.
 
-    Repeated queries of the same subset are recorded once, so ``count``
-    measures the information actually extracted from the oracle.  Not
-    thread-safe: use one logged wrapper per experiment thread.
+    Repeated queries of the same subset are answered from the log and
+    recorded once, so ``count`` measures the information actually
+    extracted from the oracle.  Not thread-safe: use one logged wrapper
+    per experiment thread.
     """
 
-    __slots__ = ("universe", "_seen", "_order")
+    __slots__ = ("universe", "answers")
 
     def __init__(self, universe: GroundSet):
         self.universe = universe
-        self._seen: set[int] = set()
-        self._order: list[int] = []
-
-    def record(self, mask: int) -> None:
-        if mask not in self._seen:
-            self._seen.add(mask)
-            self._order.append(mask)
+        self.answers: dict[int, bool] = {}
 
     @property
     def count(self) -> int:
-        return len(self._order)
+        return len(self.answers)
 
     def masks(self) -> tuple[int, ...]:
-        return tuple(self._order)
+        return tuple(self.answers)
 
     def queried_sets(self) -> list[ElementSet]:
-        return [ElementSet.from_mask(self.universe, m) for m in self._order]
+        return [ElementSet.from_mask(self.universe, m) for m in self.answers]
 
     def __contains__(self, subset: ElementSet) -> bool:
-        return subset.mask in self._seen
+        return subset.mask in self.answers
 
 
 def with_query_log(matroid: Matroid) -> tuple[Matroid, QueryLog]:
-    """Wrap a matroid so every distinct oracle query is recorded.
+    """Wrap a matroid so every distinct oracle query is answered once and logged.
 
     The wrapper answers exactly as the original; only the log is new.
     """
     log = QueryLog(matroid.ground)
+    answers = log.answers
     inner = matroid.indep_mask
 
-    def logged(mask: int) -> bool:
-        log.record(mask)
-        return inner(mask)
+    def cached(mask: int) -> bool:
+        hit = answers.get(mask)
+        if hit is None:
+            hit = answers[mask] = inner(mask)
+        return hit
 
-    wrapped = Matroid(matroid.ground, matroid.kind, logged, matroid.descriptor)
-    return wrapped, log
+    return Matroid(matroid.ground, matroid.kind, cached, matroid.descriptor), log
 
 
 def memoized(matroid: Matroid) -> Matroid:
     """A clone whose oracle caches answers by mask (unbounded; desk scale only)."""
-    cache: dict[int, bool] = {}
-    inner = matroid.indep_mask
-
-    def cached(mask: int) -> bool:
-        hit = cache.get(mask)
-        if hit is None:
-            hit = cache[mask] = inner(mask)
-        return hit
-
-    return Matroid(matroid.ground, matroid.kind, cached, matroid.descriptor)
+    return with_query_log(matroid)[0]

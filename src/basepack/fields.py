@@ -56,6 +56,8 @@ class Matrix:
 
     def __post_init__(self) -> None:
         kind, p = parse_field(self.field)
+        # Parsed once: the oracle's column_rank runs on every query.
+        object.__setattr__(self, "_field", (kind, p))
         if len(self.entries) != self.rows:
             raise ValueError("row count mismatch")
         for row in self.entries:
@@ -82,7 +84,7 @@ class Matrix:
 
     def column_rank(self, cols: Sequence[int]) -> int:
         """Rank of the submatrix given by ``cols``, by Gaussian elimination."""
-        kind, p = parse_field(self.field)
+        kind, p = self._field
         if not cols:
             return 0
         work = [[self.entries[r][c] for c in cols] for r in range(self.rows)]
@@ -120,7 +122,7 @@ class Matrix:
         return self.column_rank(cols) == len(cols)
 
     def to_json(self) -> dict:
-        kind, _ = parse_field(self.field)
+        kind, _ = self._field
         if kind == "gf":
             data = [list(row) for row in self.entries]
         else:

@@ -135,8 +135,7 @@ def _apply_labels(matroid: Matroid, labels: Optional[list[str]]) -> Matroid:
         return matroid
     if not isinstance(labels, list) or not all(isinstance(t, str) for t in labels):
         raise FormatError("labels must be a list of strings")
-    ground = GroundSet(matroid.ground.size, tuple(labels))
-    return Matroid(ground, matroid.kind, matroid.indep_mask, matroid.descriptor)
+    return matroid.with_labels(labels)
 
 
 Instance = Union[

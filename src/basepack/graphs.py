@@ -199,49 +199,50 @@ class BipartiteGraph:
         return "\n".join(lines)
 
 
-def maximum_matching(adj: Sequence[Sequence[int]], lefts: Iterable[int]) -> dict[int, int]:
+def maximum_matching(
+    adj: Sequence[Sequence[int]], lefts: Iterable[int], saturate: bool = False
+) -> Optional[dict[int, int]]:
     """Augmenting-path matching covering as many of ``lefts`` as possible.
 
     Returns right -> left assignments.  Deterministic: lefts and their
-    adjacency are scanned in the given order.
+    adjacency are scanned in the given order, each augmenting path found
+    depth-first with an explicit stack, so its length is not bounded by
+    the recursion limit.  With ``saturate``, returns None as soon as a
+    left vertex cannot be matched.
     """
     match_right: dict[int, int] = {}
-    match_left: dict[int, int] = {}
-
-    def augment(s: int, seen: set[int]) -> bool:
-        for t in adj[s]:
-            if t in seen:
-                continue
-            seen.add(t)
-            if t not in match_right or augment(match_right[t], seen):
-                match_right[t] = s
-                match_left[s] = t
-                return True
-        return False
-
+    stack = []  # (left, rest of its adjacency, right vertex it stepped to) per path level
     for s in lefts:
-        augment(s, set())
+        seen: set[int] = set()
+        u, scan = s, iter(adj[s])
+        while True:
+            for t in scan:
+                if t not in seen:
+                    break
+            else:
+                if stack:
+                    u, scan, _ = stack.pop()
+                    continue
+                if saturate:
+                    return None
+                break
+            seen.add(t)
+            v = match_right.get(t)
+            if v is None:
+                # Flip the path: each left vertex on it takes its step.
+                match_right[t] = u
+                while stack:
+                    u, _, t = stack.pop()
+                    match_right[t] = u
+                break
+            stack.append((u, scan, t))
+            u, scan = v, iter(adj[v])
     return match_right
 
 
-def saturates(adj: Sequence[Sequence[int]], lefts: Sequence[int]) -> bool:
+def saturates(adj: Sequence[Sequence[int]], lefts: Iterable[int]) -> bool:
     """True iff some matching covers every left vertex in ``lefts``."""
-    match_right: dict[int, int] = {}
-
-    def augment(s: int, seen: set[int]) -> bool:
-        for t in adj[s]:
-            if t in seen:
-                continue
-            seen.add(t)
-            if t not in match_right or augment(match_right[t], seen):
-                match_right[t] = s
-                return True
-        return False
-
-    for s in lefts:
-        if not augment(s, set()):
-            return False
-    return True
+    return maximum_matching(adj, lefts, saturate=True) is not None
 
 
 @dataclass(frozen=True)

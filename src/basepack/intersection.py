@@ -108,10 +108,7 @@ def partition_into_independent(matroid: Matroid, k: int) -> PartitionVerdict:
     n = matroid.ground.size
     if n == 0:
         return PartitionVerdict(True, tuple())
-    copies = direct_sum_all([
-        Matroid(GroundSet(n), matroid.kind, matroid.indep_mask, matroid.descriptor)
-        for _ in range(k)
-    ])
+    copies = direct_sum_all([matroid] * k)
     universe = GroundSet(n * k)
     blocks = [[e + c * n for c in range(k)] for e in range(n)]
     chooser = partition_matroid(

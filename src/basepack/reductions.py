@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import ElementSet, GroundSet, Matroid, mask_of, memoized
+from .core import ElementSet, GroundSet, mask_of, memoized
 from .certificates import (
     ArcSetCertificate,
     AssignmentCertificate,
@@ -32,7 +32,6 @@ from .constructions import (
     direct_sum_all,
     dual,
     free_matroid,
-    parallel_copies,
     partition_matroid,
     relabel,
     transversal_matroid,
@@ -58,11 +57,6 @@ def _require(problem: str, instance, certificate, side: str) -> None:
     result = verify_certificate(problem, instance, certificate)
     if not result.ok:
         raise CertificateRejected(f"{side} certificate invalid: {result.reason}")
-
-
-def _with_ground(matroid: Matroid, ground: GroundSet) -> Matroid:
-    """The same oracle presented over a relabeled ground set."""
-    return Matroid(ground, matroid.kind, matroid.indep_mask, matroid.descriptor)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +107,6 @@ def modular_to_common_bases(
             provenance[label] = f"gadget element for module {m}"
         pos += 9 * len(block)
     total = pos
-    ground = GroundSet(total, tuple(labels))
 
     # Sweeps and greedy rank scans hit each gadget component with highly
     # repetitive local masks, so cache the component oracles.
@@ -122,8 +115,7 @@ def modular_to_common_bases(
             [matroid] + [memoized(g.first_matroid) for g in gadgets]
         ),
         total // 2,
-    )
-    m1 = _with_ground(m1, ground)
+    ).with_labels(labels)
 
     # The second matroid groups each module with its gadget, so build it
     # module-major and then relabel onto the canonical layout.
@@ -145,7 +137,6 @@ def modular_to_common_bases(
         raw += 10 * p
     perm = [raw_positions[i] for i in range(total)]
     m2 = relabel(direct_sum_all(components), perm, labels)
-    m2 = _with_ground(m2, ground)
 
     return CommonBasesReduction(
         source=inst,
@@ -605,13 +596,10 @@ def to_partition_matroid_form(inst: CommonBasesInstance) -> PartitionFormReducti
     n = inst.ground.size
     if n != 2 * inst.m1.full_rank or n != 2 * inst.m2.full_rank:
         raise ValueError("ground set size must be twice both ranks")
-    mirror = parallel_copies(dual(inst.m2), 1)
-    labels = tuple(
-        [inst.ground.label(e) for e in range(n)]
-        + [mirror.ground.label(e) for e in range(n)]
-    )
-    ground = GroundSet(2 * n, labels)
-    big = _with_ground(direct_sum(inst.m1, mirror), ground)
+    mirror = dual(inst.m2).with_labels([f"{inst.m2.ground.label(e)}#1" for e in range(n)])
+    labels = [inst.ground.label(e) for e in range(n)] + list(mirror.ground.labels)
+    big = direct_sum(inst.m1, mirror).with_labels(labels)
+    ground = big.ground
     chooser = partition_matroid(
         PartitionOfGroundSet.build(ground, [[e, n + e] for e in range(n)]),
         [1] * n,

@@ -434,3 +434,41 @@ def reference_gadget_sweep(pair) -> dict:
             if {hat1, 8 - hat1} != {5, 3}:
                 out["split53_ok"] = False
     return out
+
+
+def reference_direct_sum(parts: list[Matroid]) -> Matroid:
+    """The left-deep chain of two-part sums, ((m1 + m2) + m3) + ...
+
+    Each link checks its left side on the low bits first and its right
+    side only when that passes, so the parts are queried left to right
+    with short circuit, for checking the flat n-ary node against.
+    """
+    out = parts[0]
+    for m in parts[1:]:
+        n1 = out.ground.size
+        low = (1 << n1) - 1
+
+        def indep(mask: int, i1=out.indep_mask, i2=m.indep_mask, n1=n1, low=low) -> bool:
+            return i1(mask & low) and i2(mask >> n1)
+
+        out = Matroid(GroundSet(n1 + m.ground.size), "direct-sum", indep)
+    return out
+
+
+def reference_matching(adj, lefts) -> dict[int, int]:
+    """Recursive augmenting-path matching: right -> left, scanning in the given order."""
+    match_right: dict[int, int] = {}
+
+    def augment(s: int, seen: set[int]) -> bool:
+        for t in adj[s]:
+            if t in seen:
+                continue
+            seen.add(t)
+            if t not in match_right or augment(match_right[t], seen):
+                match_right[t] = s
+                return True
+        return False
+
+    for s in lefts:
+        augment(s, set())
+    return match_right

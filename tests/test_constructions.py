@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from basepack.core import GroundSet, check_independence_axioms, rank
+from basepack.core import GroundSet, Matroid, check_independence_axioms, rank, with_query_log
 from basepack.constructions import (
     HyperplaneFamily,
     PartitionOfGroundSet,
     direct_sum,
+    direct_sum_all,
     dual,
     free_matroid,
     graphic_matroid,
@@ -25,9 +26,16 @@ from basepack.constructions import (
     uniform_matroid,
 )
 from basepack.fields import Matrix, gf, incidence_matrix_gf2
-from basepack.graphs import BipartiteGraph, MultiGraph
+from basepack.graphs import BipartiteGraph, MultiGraph, maximum_matching, saturates
 
-from helpers import oracle_equal, random_bipartite, random_matroid, random_multigraph
+from helpers import (
+    oracle_equal,
+    random_bipartite,
+    random_matroid,
+    random_multigraph,
+    reference_direct_sum,
+    reference_matching,
+)
 
 K4 = MultiGraph.build(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
@@ -108,6 +116,25 @@ class TestTransversal:
         g = BipartiteGraph.build(2, 1, [(0, 0)])
         m = transversal_matroid(g)
         assert not m.indep_mask(0b10)
+
+    def test_matching_matches_recursive_reference(self):
+        # Same scan order: the same pairs, inserted in the same order.
+        rng = random.Random(29)
+        for _ in range(200):
+            g = random_bipartite(rng, rng.randint(1, 9), rng.randint(1, 9), rng.random())
+            adj = g.adjacency()
+            lefts = rng.sample(range(g.left.size), rng.randint(0, g.left.size))
+            expected = reference_matching(adj, lefts)
+            assert list(maximum_matching(adj, lefts).items()) == list(expected.items())
+            assert saturates(adj, lefts) == (len(expected) == len(lefts))
+
+    def test_augmenting_path_longer_than_recursion_limit(self):
+        # Left i sees rights i and i+1; the last left sees right 0 only, so
+        # matching it shifts every earlier left along one 1,500-step path.
+        n = 1501
+        edges = [(i, i) for i in range(n)] + [(i, i + 1) for i in range(n)] + [(n, 0)]
+        m = transversal_matroid(BipartiteGraph.build(n + 1, n + 1, edges))
+        assert m.full_rank == n + 1
 
 
 class TestPaving:
@@ -190,6 +217,66 @@ class TestCombinators:
             m1 = random_matroid(rng, rng.randint(0, 5))
             m2 = random_matroid(rng, rng.randint(0, 5))
             assert rank(direct_sum(m1, m2)) == rank(m1) + rank(m2)
+
+    def test_direct_sum_all_matches_left_deep_fold(self):
+        # Same answers, and the parts see the same queries in the same order.
+        rng = random.Random(47)
+
+        def taped(m, i, tape):
+            logged, log = with_query_log(m)
+
+            def indep(mask):
+                tape.append((i, mask))
+                return logged.indep_mask(mask)
+            return Matroid(m.ground, m.kind, indep), log
+
+        for _ in range(60):
+            parts = [random_matroid(rng, rng.randint(0, 3)) for _ in range(rng.randint(1, 6))]
+            flat_tape, fold_tape = [], []
+            flat_logs = [taped(m, i, flat_tape) for i, m in enumerate(parts)]
+            fold_logs = [taped(m, i, fold_tape) for i, m in enumerate(parts)]
+            flat = direct_sum_all([m for m, _ in flat_logs])
+            fold = reference_direct_sum([m for m, _ in fold_logs])
+            assert flat.ground.size == fold.ground.size
+            masks = list(range(1 << flat.ground.size))
+            rng.shuffle(masks)
+            for mask in masks:
+                assert flat.indep_mask(mask) == fold.indep_mask(mask)
+            assert flat.full_rank == fold.full_rank
+            assert flat_tape == fold_tape
+            for (_, a), (_, b) in zip(flat_logs, fold_logs):
+                assert a.masks() == b.masks()
+
+    def test_direct_sum_descriptor_is_flat(self):
+        parts = [uniform_matroid(GroundSet(2), 1), free_matroid(GroundSet(1)),
+                 graphic_matroid(K4), uniform_matroid(GroundSet(3), 2)]
+        m = direct_sum_all(parts)
+        assert m.descriptor == {"kind": "direct-sum", "parts": [p.descriptor for p in parts]}
+        assert matroid_from_descriptor(m.descriptor).descriptor == m.descriptor
+        assert direct_sum_all(parts[:1]) is parts[0]
+
+    def test_direct_sum_labels_merge_only_when_unique(self):
+        a = uniform_matroid(GroundSet(2, ("a", "b")), 1)
+        c = uniform_matroid(GroundSet(1, ("c",)), 1)
+        assert direct_sum_all([a, c, c.with_labels(["d"])]).ground.labels == ("a", "b", "c", "d")
+        assert direct_sum_all([a, c, c]).ground.labels is None
+        assert direct_sum_all([a, free_matroid(GroundSet(1))]).ground.labels is None
+
+    def test_nested_direct_sum_descriptor_loads_like_flat(self):
+        # Descriptors written by the left-deep fold nest once per part.
+        rng = random.Random(59)
+        for _ in range(30):
+            parts = [random_matroid(rng, rng.randint(0, 3)) for _ in range(rng.randint(2, 6))]
+            nested = parts[0].descriptor
+            for m in parts[1:]:
+                nested = {"kind": "direct-sum", "parts": [nested, m.descriptor]}
+            flat = {"kind": "direct-sum", "parts": [m.descriptor for m in parts]}
+            assert oracle_equal(matroid_from_descriptor(nested), matroid_from_descriptor(flat))
+
+    def test_wide_direct_sum(self):
+        m = direct_sum_all([uniform_matroid(GroundSet(2), 1)] * 1500)
+        assert m.ground.size == 3000 and m.full_rank == 1500
+        assert len(m.descriptor["parts"]) == 1500
 
     def test_truncate_free_is_uniform(self):
         m = truncate(free_matroid(GroundSet(5)), 2)

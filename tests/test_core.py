@@ -289,3 +289,27 @@ def test_memoized_preserves_answers():
         assert fast.indep_mask(mask) == m.indep_mask(mask)
     for mask in range(1 << 6):  # cached second pass
         assert fast.indep_mask(mask) == m.indep_mask(mask)
+
+
+def test_with_labels_keeps_oracle_and_descriptor():
+    m = uniform_matroid(GroundSet(3), 2)
+    named = m.with_labels(["x", "y", "z"])
+    assert named.ground.labels == ("x", "y", "z")
+    assert named.indep_mask is m.indep_mask
+    assert named.descriptor is m.descriptor and named.kind == m.kind
+    assert m.ground.labels is None
+    with pytest.raises(ValueError):
+        m.with_labels(["x", "x", "y"])
+
+
+def test_query_log_answers_repeats_without_the_oracle():
+    calls = []
+
+    def indep(mask):
+        calls.append(mask)
+        return mask.bit_count() <= 1
+
+    wrapped, log = with_query_log(Matroid(GroundSet(3), "custom", indep))
+    for mask in (0b011, 0b001, 0b011, 0b001):
+        wrapped.indep_mask(mask)
+    assert calls == [0b011, 0b001] and log.masks() == (0b011, 0b001)

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import pathlib
+import random
 
 import pytest
 
@@ -16,7 +17,9 @@ from basepack.formats import (
     parse_bipartite,
     parse_dimacs,
 )
-from basepack.instances import CommonBasesInstance, ModularInstance
+from basepack.constructions import PartitionOfGroundSet, transversal_matroid
+from basepack.graphs import BipartiteGraph
+from basepack.instances import CommonBasesInstance, ModularInstance, ParityInstance
 from basepack.reductions import (
     even_factor_to_mod4_factor,
     mod4_factor_to_parity_bases,
@@ -591,6 +594,67 @@ class TestCliPipelines:
             capsys=capsys,
         )
         assert code == 0 and json.loads(out)["answer"] == "VALID"
+
+    def test_wide_direct_sum_instance(self, monkeypatch, capsys, tmp_path):
+        # A one-level 1,500-part sum: its oracle and descriptor stay flat.
+        parts = [{"kind": "uniform", "size": 2, "r": 1}] * 1500
+        instance_path = tmp_path / "instance.json"
+        instance_path.write_text(json.dumps({
+            "schema": "modular-instance/1",
+            "matroid": {"kind": "direct-sum", "parts": parts},
+            "modules": [[i] for i in range(3000)],
+        }))
+        code, out, _ = run_cli(["build", str(instance_path)],
+                               monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 0 and json.loads(out)["matroid"]["parts"] == parts
+        code, out, _ = run_cli(
+            ["solve", "--problem", "modular-bases", str(instance_path)],
+            monkeypatch=monkeypatch, capsys=capsys,
+        )
+        assert code == 0
+        instance = load_instance(json.loads(instance_path.read_text()))
+        cert = load_certificate("modular-bases", json.loads(out), instance)
+        assert verify_certificate("modular-bases", instance, cert).ok
+
+    def test_reduce_r1_with_a_thousand_modules(self, monkeypatch, capsys, tmp_path):
+        instance_path = tmp_path / "instance.json"
+        instance_path.write_text(json.dumps({
+            "schema": "modular-instance/1",
+            "matroid": {"kind": "uniform", "size": 1100, "r": 550},
+            "modules": [[i] for i in range(1100)],
+        }))
+        code, out, _ = run_cli(["reduce", "--rule", "r1", str(instance_path)],
+                               monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 0
+        loaded = load_instance(json.loads(out))
+        source = load_instance(json.loads(instance_path.read_text()))
+        expected = modular_to_common_bases(source).instance
+        assert loaded.ground == expected.ground
+        rng = random.Random(71)
+        n = expected.ground.size
+        masks = [rng.getrandbits(n) for _ in range(60)]
+        # Sparse masks too, so the answers are not all "dependent".
+        masks += [sum(1 << rng.randrange(n) for _ in range(rng.randint(0, 2000))) for _ in range(60)]
+        for mask in masks:
+            assert loaded.m1.indep_mask(mask) == expected.m1.indep_mask(mask)
+            assert loaded.m2.indep_mask(mask) == expected.m2.indep_mask(mask)
+
+    def test_parity_with_a_long_augmenting_path_is_no(self, monkeypatch, capsys):
+        # Left i sees rights i and i+1, the last left sees right 0: the
+        # greedy rank meets a 1,500-step augmenting path.  1,502 elements
+        # of rank 1,502 cannot split into two bases.
+        n = 1501
+        edges = [(i, i) for i in range(n)] + [(i, i + 1) for i in range(n)] + [(n, 0)]
+        matroid = transversal_matroid(BipartiteGraph.build(n + 1, n + 1, edges))
+        pairs = PartitionOfGroundSet.build(
+            matroid.ground, [[2 * i, 2 * i + 1] for i in range((n + 1) // 2)]
+        )
+        code, out, _ = run_cli(
+            ["solve", "--problem", "parity-bases", "-"],
+            stdin_text=_json_text(ParityInstance(matroid, pairs)),
+            monkeypatch=monkeypatch, capsys=capsys,
+        )
+        assert code == 1 and json.loads(out)["answer"] == "NO"
 
     def test_gadget_search_cli(self, monkeypatch, capsys):
         code, out, _ = run_cli(
