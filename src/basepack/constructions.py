@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 from .core import ElementSet, GroundSet, Matroid, bits_of
 from .fields import Matrix, gf, is_prime
-from .graphs import BipartiteGraph, MultiGraph, saturates
+from .graphs import BipartiteGraph, MultiGraph, saturating_matching
 
 MIN_REPRESENTATION_PRIME = 10**6
 DEFAULT_REPRESENTATION_PRIME = 2147483647  # 2^31 - 1
@@ -143,7 +143,7 @@ def transversal_matroid(graph: BipartiteGraph) -> Matroid:
     adj = graph.adjacency()
 
     def indep(mask: int) -> bool:
-        return saturates(adj, bits_of(mask))
+        return saturating_matching(adj, bits_of(mask)) is not None
 
     desc = {"kind": "transversal", "graph": graph.to_json()}
     return Matroid(graph.left, "transversal", indep, desc)

@@ -199,16 +199,16 @@ class BipartiteGraph:
         return "\n".join(lines)
 
 
-def maximum_matching(
-    adj: Sequence[Sequence[int]], lefts: Iterable[int], saturate: bool = False
+def saturating_matching(
+    adj: Sequence[Sequence[int]], lefts: Iterable[int]
 ) -> Optional[dict[int, int]]:
-    """Augmenting-path matching covering as many of ``lefts`` as possible.
+    """Augmenting-path matching covering every left vertex in ``lefts``.
 
-    Returns right -> left assignments.  Deterministic: lefts and their
-    adjacency are scanned in the given order, each augmenting path found
-    depth-first with an explicit stack, so its length is not bounded by
-    the recursion limit.  With ``saturate``, returns None as soon as a
-    left vertex cannot be matched.
+    Returns right -> left assignments, or None as soon as a left vertex
+    cannot be matched.  Deterministic: lefts and their adjacency are
+    scanned in the given order, each augmenting path found depth-first
+    with an explicit stack, so its length is not bounded by the recursion
+    limit.
     """
     match_right: dict[int, int] = {}
     stack = []  # (left, rest of its adjacency, right vertex it stepped to) per path level
@@ -220,12 +220,10 @@ def maximum_matching(
                 if t not in seen:
                     break
             else:
-                if stack:
-                    u, scan, _ = stack.pop()
-                    continue
-                if saturate:
+                if not stack:
                     return None
-                break
+                u, scan, _ = stack.pop()
+                continue
             seen.add(t)
             v = match_right.get(t)
             if v is None:
@@ -238,11 +236,6 @@ def maximum_matching(
             stack.append((u, scan, t))
             u, scan = v, iter(adj[v])
     return match_right
-
-
-def saturates(adj: Sequence[Sequence[int]], lefts: Iterable[int]) -> bool:
-    """True iff some matching covers every left vertex in ``lefts``."""
-    return maximum_matching(adj, lefts, saturate=True) is not None
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from .constructions import (
     truncate,
 )
 from .gadget import DEFAULT_LABELING, BlockLabeling, GadgetPair, build_gadget
-from .graphs import BipartiteGraph, Digraph, MultiGraph, maximum_matching, two_factor_cycles
+from .graphs import BipartiteGraph, Digraph, MultiGraph, saturating_matching, two_factor_cycles
 from .instances import (
     CnfFormula,
     CommonBasesInstance,
@@ -557,8 +557,8 @@ def pull_factor_from_parity(
     factor: set[tuple[int, int]] = set()
     for cls in cert.classes:
         lefts = sorted(cls)
-        matching = maximum_matching(adj, lefts)
-        if len(matching) != len(lefts):
+        matching = saturating_matching(adj, lefts)
+        if matching is None:
             raise CertificateRejected("class is not saturated by any matching")
         for t, left in matching.items():
             factor.add((left // 2, t))
@@ -596,9 +596,9 @@ def to_partition_matroid_form(inst: CommonBasesInstance) -> PartitionFormReducti
     n = inst.ground.size
     if n != 2 * inst.m1.full_rank or n != 2 * inst.m2.full_rank:
         raise ValueError("ground set size must be twice both ranks")
-    mirror = dual(inst.m2).with_labels([f"{inst.m2.ground.label(e)}#1" for e in range(n)])
-    labels = [inst.ground.label(e) for e in range(n)] + list(mirror.ground.labels)
-    big = direct_sum(inst.m1, mirror).with_labels(labels)
+    labels = [inst.ground.label(e) for e in range(n)]
+    labels += [f"{inst.m2.ground.label(e)}#1" for e in range(n)]
+    big = direct_sum(inst.m1, dual(inst.m2)).with_labels(labels)
     ground = big.ground
     chooser = partition_matroid(
         PartitionOfGroundSet.build(ground, [[e, n + e] for e in range(n)]),
