@@ -13,6 +13,7 @@ trust is placed in the solver's self-reporting.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -42,8 +43,6 @@ class AdversaryPair:
 
 def _parity_sets(pairing: PartitionOfGroundSet, count: int) -> list[int]:
     """Masks of all unions of exactly ``count`` pairs."""
-    import itertools
-
     masks = pairing.block_masks()
     out = []
     for combo in itertools.combinations(range(len(masks)), count):
@@ -54,28 +53,19 @@ def _parity_sets(pairing: PartitionOfGroundSet, count: int) -> list[int]:
     return out
 
 
-def build_adversary(
-    t: int,
-    pairing: Optional[PartitionOfGroundSet] = None,
-    hidden_pairs: Optional[Sequence[int]] = None,
-) -> AdversaryPair:
+def build_adversary(t: int, hidden_pairs: Optional[Sequence[int]] = None) -> AdversaryPair:
     """Build the matroid pair for parameter t on 4t elements.
 
-    ``pairing`` defaults to consecutive pairs {2i, 2i+1}; ``hidden_pairs``
-    names the pair indices forming the distinguished parity set (default:
-    the first t pairs).  Both matroids are paving with rank 2t: distinct
+    The elements pair off as {2i, 2i+1}; ``hidden_pairs`` names the pair
+    indices forming the distinguished parity set (default: the first t
+    pairs).  Both matroids are paving with rank 2t: distinct
     parity sets of that size share at most 2t - 2 elements, so the
     exclusion family is always admissible.
     """
     if t < 1:
         raise ValueError("t must be positive")
     ground = GroundSet(4 * t)
-    if pairing is None:
-        pairing = PartitionOfGroundSet.build(
-            ground, [[2 * i, 2 * i + 1] for i in range(2 * t)]
-        )
-    if pairing.universe.size != 4 * t or any(len(b) != 2 for b in pairing.blocks):
-        raise ValueError("pairing must split 4t elements into 2t pairs")
+    pairing = PartitionOfGroundSet.build(ground, [[2 * i, 2 * i + 1] for i in range(2 * t)])
     if hidden_pairs is None:
         hidden_pairs = tuple(range(t))
     if len(set(hidden_pairs)) != t:
@@ -140,10 +130,10 @@ def run_indistinguishability(
     """Run a solver against a logged copy of one hidden matroid, then
     replay its distinct queries against both matroids.
 
-    The report records the first query where the answers differ (which
-    can only be the hidden set or its complement) and confirms that every
-    earlier query was answered identically, i.e. that nothing the solver
-    saw before that point could tell the matroids apart.
+    The report records the index of the first query where the answers
+    differ, and ``agreement_verified`` confirms that every query where
+    they differ is the hidden set or its complement: nothing else the
+    solver asked could tell the matroids apart.
     """
     if hidden not in ("strict", "relaxed"):
         raise ValueError("hidden must be 'strict' or 'relaxed'")
@@ -151,18 +141,15 @@ def run_indistinguishability(
     wrapped, log = with_query_log(target)
     answer = solver(wrapped)
 
+    hidden_mask = pair.hidden_set.mask
+    expected = (hidden_mask, pair.ground.full_mask ^ hidden_mask)
     distinguishing = None
     agreement = True
     for idx, mask in enumerate(log.masks()):
-        same = pair.strict.indep_mask(mask) == pair.relaxed.indep_mask(mask)
-        if not same:
-            distinguishing = idx
-            break
-    if distinguishing is not None:
-        for mask in log.masks()[:distinguishing]:
-            if pair.strict.indep_mask(mask) != pair.relaxed.indep_mask(mask):
-                agreement = False
-                break
+        if pair.strict.indep_mask(mask) != pair.relaxed.indep_mask(mask):
+            if distinguishing is None:
+                distinguishing = idx
+            agreement = agreement and mask in expected
     return ExperimentReport(
         t=pair.t,
         hidden=hidden,

@@ -156,9 +156,7 @@ def cmd_adversary(args) -> int:
     pair = build_adversary(args.t)
     if args.solver == "parity-sweep":
         def solver(matroid):
-            from .instances import ParityInstance
-
-            return solve_parity_bases(ParityInstance(matroid, pair.pairing))
+            return solve_parity_bases(pair.parity_instance(matroid))
     elif args.solver == "size-order":
         def solver(matroid):
             n = matroid.ground.size

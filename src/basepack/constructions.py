@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .core import ElementSet, GroundSet, Matroid, bits_of
-from .fields import Matrix, gf, is_prime
+from .fields import Matrix, gf
 from .graphs import BipartiteGraph, MultiGraph, saturating_matching
 
 MIN_REPRESENTATION_PRIME = 10**6
@@ -48,12 +48,6 @@ class PartitionOfGroundSet:
 
     def block_masks(self) -> tuple[int, ...]:
         return tuple(b.mask for b in self.blocks)
-
-    def block_of(self, e: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if e in b:
-                return i
-        raise ValueError(f"element {e} not in any block")
 
     def to_json(self) -> list[list[int]]:
         return [sorted(b) for b in self.blocks]
@@ -327,12 +321,11 @@ def transversal_linear_representation(
     is an edge, else zero.  By a union bound over subset determinants the
     linear matroid of the result differs from the transversal matroid
     with probability at most |S| * 2^|S| / p, so p must be large; primes
-    below 10^6 are rejected.  Deterministic for a fixed seed.
+    below 10^6 are rejected, and the matrix constructor rejects a
+    composite p.  Deterministic for a fixed seed.
     """
     if p < MIN_REPRESENTATION_PRIME:
         raise ValueError(f"prime {p} too small for a trustworthy representation")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     rng = random.Random(seed)
     edges = graph.edges
     entries = [[0] * graph.left.size for _ in range(graph.right.size)]
@@ -340,9 +333,7 @@ def transversal_linear_representation(
         for t in range(graph.right.size):
             if (s, t) in edges:
                 entries[t][s] = rng.randrange(1, p)
-    if graph.right.size == 0:
-        return Matrix(gf(p), 0, graph.left.size, ())
-    return Matrix.build(gf(p), entries)
+    return Matrix(gf(p), graph.right.size, graph.left.size, entries)
 
 
 def matroid_from_descriptor(desc: dict) -> Matroid:

@@ -84,16 +84,6 @@ def mask_of(members: Iterable[int]) -> int:
     return m
 
 
-def submasks(mask: int) -> Iterator[int]:
-    """All submasks of ``mask``, descending, ending with 0."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 def split_blocks(
     blocks: Sequence[int], k: int, cap: int, indep: Callable[[int], bool]
 ) -> Iterator[tuple[int, ...]]:

@@ -55,32 +55,25 @@ class Matrix:
     entries: tuple[tuple[Entry, ...], ...]
 
     def __post_init__(self) -> None:
+        """Parse the field (the one place that does) and normalize the
+        entries: ``int(x) % p`` over GF(p), ``Fraction(x)`` over Q."""
         kind, p = parse_field(self.field)
         # Parsed once: the oracle's column_rank runs on every query.
         object.__setattr__(self, "_field", (kind, p))
         if len(self.entries) != self.rows:
             raise ValueError("row count mismatch")
+        to_entry = (lambda x: int(x) % p) if kind == "gf" else Fraction
+        norm = []
         for row in self.entries:
             if len(row) != self.cols:
                 raise ValueError("column count mismatch")
-            for x in row:
-                if kind == "gf":
-                    if not isinstance(x, int) or not 0 <= x < p:
-                        raise ValueError(f"entry {x!r} not a GF({p}) element")
-                else:
-                    if not isinstance(x, (int, Fraction)):
-                        raise ValueError(f"entry {x!r} not rational")
+            norm.append(tuple(map(to_entry, row)))
+        object.__setattr__(self, "entries", tuple(norm))
 
     @staticmethod
     def build(field: str, entries: Sequence[Sequence[Entry]]) -> "Matrix":
-        kind, p = parse_field(field)
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        if kind == "gf":
-            norm = tuple(tuple(int(x) % p for x in row) for row in entries)
-        else:
-            norm = tuple(tuple(Fraction(x) for x in row) for row in entries)
-        return Matrix(field, rows, cols, norm)
+        """A matrix whose shape is read off ``entries``."""
+        return Matrix(field, len(entries), len(entries[0]) if entries else 0, entries)
 
     def column_rank(self, cols: Sequence[int]) -> int:
         """Rank of the submatrix given by ``cols``, by Gaussian elimination."""
@@ -134,15 +127,7 @@ class Matrix:
 
     @staticmethod
     def from_json(data: dict) -> "Matrix":
-        kind, _ = parse_field(data["field"])
-        if kind == "gf":
-            entries = data["entries"]
-        else:
-            entries = [[Fraction(x) for x in row] for row in data["entries"]]
-        mat = Matrix.build(data["field"], entries) if entries else Matrix(data["field"], 0, data.get("cols", 0), ())
-        if mat.rows != data["rows"] or (mat.rows and mat.cols != data["cols"]):
-            raise ValueError("matrix dimensions do not match entries")
-        return mat
+        return Matrix(data["field"], data["rows"], data["cols"], data["entries"])
 
 
 def incidence_matrix_gf2(vertex_count: int, endpoints: Sequence[tuple[int, int]]) -> Matrix:
@@ -152,4 +137,4 @@ def incidence_matrix_gf2(vertex_count: int, endpoints: Sequence[tuple[int, int]]
         if u != v:
             entries[u][j] = 1
             entries[v][j] = 1
-    return Matrix.build(gf(2), entries) if vertex_count else Matrix(gf(2), 0, len(endpoints), ())
+    return Matrix(gf(2), vertex_count, len(endpoints), entries)

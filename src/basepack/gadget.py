@@ -35,11 +35,10 @@ from .graphs import MultiGraph
 
 LETTERS = "abcdefghi"
 
-# K4 on vertices 0..3: the fixed Hamiltonian path 0-1-2-3 and its
+# K4 on vertices 0..3: the fixed Hamiltonian path 0-1-2-3, then its
 # complementary path 2-0-3-1.  Vertex relabeling freedom lets every
 # conforming block be written on these two edge tracks.
-PATH_EDGES = ((0, 1), (1, 2), (2, 3))
-COPATH_EDGES = ((2, 0), (0, 3), (3, 1))
+K4_EDGES = ((0, 1), (1, 2), (2, 3), (2, 0), (0, 3), (3, 1))
 
 # Pendant attachment vertices (matroid-irrelevant; fixed for emission).
 FIRST_PENDANTS = {"g": (0, 4), "h": (0, 5)}
@@ -55,7 +54,8 @@ class BlockLabeling:
     ``first_path`` orders a,b,c along the first graph's K4 path and
     ``first_copath`` orders d,e,f along the complementary path;
     ``second_path`` and ``second_copath`` do the same for a,b,c and
-    d,g,h in the second graph.
+    d,g,h in the second graph.  :meth:`edge_maps` turns the orders into
+    one letter-to-edge map per graph.
     """
 
     first_path: tuple[str, str, str]
@@ -73,19 +73,19 @@ class BlockLabeling:
         if sorted(self.second_copath) != ["d", "g", "h"]:
             raise ValueError("second graph co-path must carry labels d,g,h")
 
-    def first_k4(self) -> dict[str, tuple[int, int]]:
-        out = dict(zip(self.first_path, PATH_EDGES))
-        out.update(zip(self.first_copath, COPATH_EDGES))
-        return out
+    def edge_maps(self) -> tuple[dict[str, tuple[int, int]], dict[str, tuple[int, int]]]:
+        """One block's letter-to-edge map in the first and the second graph.
 
-    def second_k4(self) -> dict[str, tuple[int, int]]:
-        out = dict(zip(self.second_path, PATH_EDGES))
-        out.update(zip(self.second_copath, COPATH_EDGES))
-        return out
+        Both maps hold the K4 and pendant edges.  The first also holds i,
+        parallel to h; the second has no i, whose edge copies the next
+        block's f.
+        """
+        first = dict(zip(self.first_path + self.first_copath, K4_EDGES))
+        second = dict(zip(self.second_path + self.second_copath, K4_EDGES))
+        return {**first, **FIRST_PENDANTS, "i": FIRST_PENDANTS["h"]}, {**second, **SECOND_PENDANTS}
 
     def to_json(self) -> dict:
-        first = {**self.first_k4(), **FIRST_PENDANTS, "i": FIRST_PENDANTS["h"]}
-        second = {**self.second_k4(), **SECOND_PENDANTS}
+        first, second = self.edge_maps()
         return {
             "schema": "gadget-labeling/1",
             "first_path": list(self.first_path),
@@ -151,35 +151,18 @@ def build_gadget(labeling: BlockLabeling, ell: int) -> GadgetPair:
     """
     if ell < 1:
         raise ValueError("need at least one block")
-    first_k4 = labeling.first_k4()
-    second_k4 = labeling.second_k4()
+    first_map, second_map = labeling.edge_maps()
     first_edges = []
     second_edges = []
     for j in range(ell):
         base = 6 * j
-        nxt = 6 * ((j + 1) % ell)
         for letter in LETTERS:
             label = f"{letter}{j + 1}"
-            if letter == "i":
-                u, v = FIRST_PENDANTS["h"]
-                first_edges.append((base + u, base + v, label))
-                u, v = SECOND_PENDANTS["f"]
-                second_edges.append((nxt + u, nxt + v, label))
-            elif letter in "gh":
-                u, v = FIRST_PENDANTS[letter]
-                first_edges.append((base + u, base + v, label))
-                u, v = second_k4[letter]
-                second_edges.append((base + u, base + v, label))
-            elif letter in "ef":
-                u, v = first_k4[letter]
-                first_edges.append((base + u, base + v, label))
-                u, v = SECOND_PENDANTS[letter]
-                second_edges.append((base + u, base + v, label))
-            else:
-                u, v = first_k4[letter]
-                first_edges.append((base + u, base + v, label))
-                u, v = second_k4[letter]
-                second_edges.append((base + u, base + v, label))
+            u, v = first_map[letter]
+            first_edges.append((base + u, base + v, label))
+            at, key = (6 * ((j + 1) % ell), "f") if letter == "i" else (base, letter)
+            u, v = second_map[key]
+            second_edges.append((at + u, at + v, label))
     first = MultiGraph(6 * ell, tuple(first_edges))
     second = MultiGraph(6 * ell, tuple(second_edges))
     return GadgetPair(
@@ -363,8 +346,7 @@ def local_block_forcing(labeling: BlockLabeling) -> bool:
     is what makes condition (b) hold for every block count, not just the
     exhaustively swept ones.
     """
-    first = labeling.first_k4()
-    second = labeling.second_k4()
+    first, second = labeling.edge_maps()
     letters = "abcdefgh"
     for bits in range(1 << 7):  # label a's class fixed by symmetry
         cls = {"a": 0}
@@ -381,7 +363,7 @@ def local_block_forcing(labeling: BlockLabeling) -> bool:
     return True
 
 
-def search_block_labeling(certify_ell2: bool = True) -> BlockLabeling:
+def search_block_labeling() -> BlockLabeling:
     """Recover a certified block labeling by constrained search.
 
     Enumerates, in lexicographic order, the orders of a,b,c and d,e,f
@@ -404,8 +386,6 @@ def search_block_labeling(certify_ell2: bool = True) -> BlockLabeling:
                     cert1 = verify_gadget(build_gadget(candidate, 1), stop_on_violation=True)
                     if not (cert1.ok and cert1.structure_ok):
                         continue
-                    if not certify_ell2:
-                        return candidate
                     cert2 = verify_gadget(build_gadget(candidate, 2), stop_on_violation=True)
                     if cert2.ok and cert2.structure_ok:
                         return candidate

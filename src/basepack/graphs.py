@@ -102,11 +102,9 @@ class MultiGraph:
         """True iff the edges selected by ``mask`` form a forest."""
         return union_find(self.vertex_count, self._ends, mask, forest=True) >= 0
 
-    def component_count(self, mask: Optional[int] = None) -> int:
-        """Connected components of the subgraph on all vertices, given edge mask."""
-        if mask is None:
-            mask = (1 << len(self.edges)) - 1
-        return union_find(self.vertex_count, self._ends, mask)
+    def component_count(self) -> int:
+        """Connected components of the whole graph."""
+        return union_find(self.vertex_count, self._ends, (1 << len(self.edges)) - 1)
 
     def is_connected(self) -> bool:
         return self.vertex_count <= 1 or self.component_count() == 1
@@ -121,12 +119,10 @@ class MultiGraph:
     def from_json(data: dict) -> "MultiGraph":
         return MultiGraph.build(data["vertices"], data["edges"])
 
-    def to_dot(self, name: str = "G", highlight: Iterable[int] = ()) -> str:
-        hot = set(highlight)
+    def to_dot(self, name: str = "G") -> str:
         lines = [f"graph {name} {{"]
-        for i, (u, v, label) in enumerate(self.edges):
-            style = ', style=bold, color=blue' if i in hot else ""
-            lines.append(f'  {u} -- {v} [label="{label}"{style}];')
+        for u, v, label in self.edges:
+            lines.append(f'  {u} -- {v} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines)
 
@@ -163,12 +159,6 @@ class BipartiteGraph:
         for s, t in sorted(self.edges):
             adj[s].append(t)
         return adj
-
-    def left_degrees(self) -> list[int]:
-        deg = [0] * self.left.size
-        for s, _ in self.edges:
-            deg[s] += 1
-        return deg
 
     def right_degrees(self) -> list[int]:
         deg = [0] * self.right.size

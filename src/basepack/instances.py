@@ -173,12 +173,6 @@ class CnfFormula:
                 out.append(i)
         return out
 
-    def positive_count(self, var: int) -> int:
-        return len(self.occurrences(var, True))
-
-    def negative_count(self, var: int) -> int:
-        return len(self.occurrences(var, False))
-
     def literal_total(self) -> int:
         return sum(len(c) for c in self.clauses)
 

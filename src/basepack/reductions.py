@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import ElementSet, GroundSet, mask_of, memoized
+from .core import ElementSet, GroundSet, Matroid, memoized
 from .certificates import (
     ArcSetCertificate,
     AssignmentCertificate,
@@ -67,7 +67,6 @@ def _require(problem: str, instance, certificate, side: str) -> None:
 class CommonBasesReduction:
     source: ModularInstance
     instance: CommonBasesInstance
-    labeling: BlockLabeling
     gadgets: tuple[GadgetPair, ...]
     module_offsets: tuple[int, ...]
     provenance: dict[str, str]
@@ -81,45 +80,50 @@ def modular_to_common_bases(
 ) -> CommonBasesReduction:
     """Embed a modular-bases instance into a plain common-bases instance.
 
-    Each module of size p receives its own p-block gadget pair.  The new
-    ground set keeps the original elements first, then the gadget
-    elements module by module, ten times the original size in total.
-    The first output matroid is the half-size truncation of the original
-    matroid summed with every gadget's first matroid; the second is, per
-    module, the 5p-truncation of the free matroid on the module summed
-    with the gadget's second matroid, all summed together.
+    Each module of size p receives a p-block gadget pair; gadgets of equal
+    size are identical, so modules of one size share one pair and one
+    cached oracle per side.  The new ground set keeps the original
+    elements first, then the gadget elements module by module, ten times
+    the original size in total.  The first output matroid is the
+    half-size truncation of the original matroid summed with every
+    gadget's first matroid; the second is, per module, the
+    5p-truncation of the free matroid on the module summed with the
+    gadget's second matroid, all summed together.
     """
     matroid = inst.matroid
     n = matroid.ground.size
     blocks = inst.modules.blocks
-    gadgets = []
+    # Module size -> (gadget pair, first-side part, second-side component).
+    # Sweeps and greedy rank scans hit each gadget component with highly
+    # repetitive local masks, so cache the component oracles.
+    by_size: dict[int, tuple[GadgetPair, Matroid, Matroid]] = {}
+    for block in blocks:
+        p = len(block)
+        if p not in by_size:
+            pair = build_gadget(labeling, p)
+            second = direct_sum(free_matroid(GroundSet(p)), memoized(pair.second_matroid))
+            by_size[p] = (pair, memoized(pair.first_matroid), truncate(second, 5 * p))
+    gadgets = [by_size[len(block)][0] for block in blocks]
     offsets = []
     labels = [matroid.ground.label(e) for e in range(n)]
     provenance = {label: "original element" for label in labels}
     pos = n
-    for m, block in enumerate(blocks):
-        pair = build_gadget(labeling, len(block))
-        gadgets.append(pair)
+    for m, pair in enumerate(gadgets):
         offsets.append(pos)
-        for local in range(9 * len(block)):
+        for local in range(pair.ground.size):
             label = f"P{m}:{pair.ground.label(local)}"
             labels.append(label)
             provenance[label] = f"gadget element for module {m}"
-        pos += 9 * len(block)
+        pos += pair.ground.size
     total = pos
 
-    # Sweeps and greedy rank scans hit each gadget component with highly
-    # repetitive local masks, so cache the component oracles.
     m1 = truncate(
-        direct_sum_all(
-            [matroid] + [memoized(g.first_matroid) for g in gadgets]
-        ),
+        direct_sum_all([matroid] + [by_size[len(block)][1] for block in blocks]),
         total // 2,
     ).with_labels(labels)
 
     # The second matroid groups each module with its gadget, so build it
     # module-major and then relabel onto the canonical layout.
-    components = []
     raw_positions: dict[int, int] = {}
     raw = 0
     for m, block in enumerate(blocks):
@@ -128,20 +132,13 @@ def modular_to_common_bases(
             raw_positions[e] = raw + t
         for local in range(9 * p):
             raw_positions[offsets[m] + local] = raw + p + local
-        components.append(
-            truncate(
-                direct_sum(free_matroid(GroundSet(p)), memoized(gadgets[m].second_matroid)),
-                5 * p,
-            )
-        )
         raw += 10 * p
     perm = [raw_positions[i] for i in range(total)]
-    m2 = relabel(direct_sum_all(components), perm, labels)
+    m2 = relabel(direct_sum_all([by_size[len(block)][2] for block in blocks]), perm, labels)
 
     return CommonBasesReduction(
         source=inst,
         instance=CommonBasesInstance(m1, m2, 2),
-        labeling=labeling,
         gadgets=tuple(gadgets),
         module_offsets=tuple(offsets),
         provenance=provenance,
@@ -212,15 +209,16 @@ def pull_common_to_modular(
 class SatTreesReduction:
     formula: CnfFormula
     instance: ModularTreesInstance
-    hub: int
-    pos_path_edges: tuple[tuple[int, ...], ...]
-    neg_path_edges: tuple[tuple[int, ...], ...]
     pos_path_module: tuple[int, ...]
     neg_path_module: tuple[int, ...]
     pos_pair_modules: tuple[tuple[int, ...], ...]
     neg_pair_modules: tuple[tuple[int, ...], ...]
     clause_edge_modules: tuple[tuple[int, ...], ...]
     provenance: dict[str, str]
+
+
+# (polarity, label sign, provenance word), positive first.
+_POLARITIES = ((True, "+", "positive"), (False, "-", "negative"))
 
 
 def naesat_to_modular_trees(formula: CnfFormula) -> SatTreesReduction:
@@ -230,29 +228,25 @@ def naesat_to_modular_trees(formula: CnfFormula) -> SatTreesReduction:
     Per variable: a ladder of two parallel paths (one per polarity, one
     rung vertex per occurrence; a polarity with no occurrences collapses
     to a single edge), chained variable to variable.  Per occurrence: a
-    spoke to its rung vertex paired with an edge tying the rung to the
-    final chain vertex.  Per clause: a cycle through its occurrence
-    rungs.  Paths are modules, spoke+tie pairs are modules, everything
-    else is a singleton.
+    spoke from its rung vertex to a tie vertex paired with an edge tying
+    that vertex to the final chain vertex.  Per clause: a cycle through
+    its occurrences' tie vertices.  Paths are modules, spoke+tie pairs are
+    modules, everything else is a singleton.  Every per-polarity step
+    runs positive before negative, variable by variable.
     """
     n = formula.num_vars
     hub = n  # last chain vertex
     next_vid = n + 1
-    u_nodes: list[list[int]] = []
-    w_nodes: list[list[int]] = []
-    v_nodes: list[list[int]] = []
-    z_nodes: list[list[int]] = []
+    occurrences: dict[tuple[int, bool], list[int]] = {}
+    rungs: dict[tuple[int, bool], range] = {}
+    tie_ends: dict[tuple[int, bool], range] = {}
     for j in range(n):
-        p = formula.positive_count(j)
-        q = formula.negative_count(j)
-        u_nodes.append(list(range(next_vid, next_vid + p)))
-        next_vid += p
-        w_nodes.append(list(range(next_vid, next_vid + p)))
-        next_vid += p
-        v_nodes.append(list(range(next_vid, next_vid + q)))
-        next_vid += q
-        z_nodes.append(list(range(next_vid, next_vid + q)))
-        next_vid += q
+        for positive, _, _ in _POLARITIES:
+            occ = occurrences[j, positive] = formula.occurrences(j, positive)
+            rungs[j, positive] = range(next_vid, next_vid + len(occ))
+            next_vid += len(occ)
+            tie_ends[j, positive] = range(next_vid, next_vid + len(occ))
+            next_vid += len(occ)
 
     edges: list[tuple[int, int, str]] = []
     modules: list[list[int]] = []
@@ -263,71 +257,38 @@ def naesat_to_modular_trees(formula: CnfFormula) -> SatTreesReduction:
         provenance[label] = role
         return len(edges) - 1
 
-    pos_path: list[tuple[int, ...]] = []
-    neg_path: list[tuple[int, ...]] = []
-    pos_path_module: list[int] = []
-    neg_path_module: list[int] = []
+    path_module: dict[bool, list[int]] = {True: [], False: []}
     for j in range(n):
-        s_j, t_j = j, j + 1
-        p = formula.positive_count(j)
-        if p == 0:
-            e = add_edge(s_j, t_j, f"x{j + 1}+st", f"variable {j + 1} positive side, no occurrences")
-            ids = (e,)
-        else:
-            chain = [s_j] + u_nodes[j] + [t_j]
-            ids = tuple(
-                add_edge(chain[i], chain[i + 1], f"x{j + 1}+path{i}",
-                         f"variable {j + 1} positive path")
-                for i in range(p + 1)
-            )
-        pos_path.append(ids)
-        pos_path_module.append(len(modules))
-        modules.append(list(ids))
+        for positive, sign, word in _POLARITIES:
+            chain = [j, *rungs[j, positive], j + 1]
+            if len(chain) == 2:
+                ids = [add_edge(j, j + 1, f"x{j + 1}{sign}st",
+                                f"variable {j + 1} {word} side, no occurrences")]
+            else:
+                ids = [
+                    add_edge(chain[i], chain[i + 1], f"x{j + 1}{sign}path{i}",
+                             f"variable {j + 1} {word} path")
+                    for i in range(len(chain) - 1)
+                ]
+            path_module[positive].append(len(modules))
+            modules.append(ids)
 
-        q = formula.negative_count(j)
-        if q == 0:
-            e = add_edge(s_j, t_j, f"x{j + 1}-st", f"variable {j + 1} negative side, no occurrences")
-            ids = (e,)
-        else:
-            chain = [s_j] + v_nodes[j] + [t_j]
-            ids = tuple(
-                add_edge(chain[i], chain[i + 1], f"x{j + 1}-path{i}",
-                         f"variable {j + 1} negative path")
-                for i in range(q + 1)
-            )
-        neg_path.append(ids)
-        neg_path_module.append(len(modules))
-        modules.append(list(ids))
-
-    pos_pairs: list[tuple[int, ...]] = []
-    neg_pairs: list[tuple[int, ...]] = []
+    pair_modules: dict[bool, list[tuple[int, ...]]] = {True: [], False: []}
     for j in range(n):
-        mods = []
-        for k in range(formula.positive_count(j)):
-            spoke = add_edge(u_nodes[j][k], w_nodes[j][k], f"x{j + 1}+spoke{k + 1}",
-                             f"variable {j + 1} positive occurrence {k + 1} spoke")
-            tie = add_edge(w_nodes[j][k], hub, f"x{j + 1}+tie{k + 1}",
-                           f"variable {j + 1} positive occurrence {k + 1} hub tie")
-            mods.append(len(modules))
-            modules.append([spoke, tie])
-        pos_pairs.append(tuple(mods))
-        mods = []
-        for k in range(formula.negative_count(j)):
-            spoke = add_edge(v_nodes[j][k], z_nodes[j][k], f"x{j + 1}-spoke{k + 1}",
-                             f"variable {j + 1} negative occurrence {k + 1} spoke")
-            tie = add_edge(z_nodes[j][k], hub, f"x{j + 1}-tie{k + 1}",
-                           f"variable {j + 1} negative occurrence {k + 1} hub tie")
-            mods.append(len(modules))
-            modules.append([spoke, tie])
-        neg_pairs.append(tuple(mods))
+        for positive, sign, word in _POLARITIES:
+            mods = []
+            for k, (rung, tie_end) in enumerate(zip(rungs[j, positive], tie_ends[j, positive]), 1):
+                spoke = add_edge(rung, tie_end, f"x{j + 1}{sign}spoke{k}",
+                                 f"variable {j + 1} {word} occurrence {k} spoke")
+                tie = add_edge(tie_end, hub, f"x{j + 1}{sign}tie{k}",
+                               f"variable {j + 1} {word} occurrence {k} hub tie")
+                mods.append(len(modules))
+                modules.append([spoke, tie])
+            pair_modules[positive].append(tuple(mods))
 
     clause_modules: list[tuple[int, ...]] = []
     for i, clause in enumerate(formula.clauses):
-        ys = []
-        for var, positive in clause:
-            occ = formula.occurrences(var, positive)
-            k = occ.index(i)
-            ys.append(w_nodes[var][k] if positive else z_nodes[var][k])
+        ys = [tie_ends[lit][occurrences[lit].index(i)] for lit in clause]
         mods = []
         for k in range(len(ys)):
             e = add_edge(ys[k], ys[k - 1], f"c{i + 1}cyc{k + 1}",
@@ -341,13 +302,10 @@ def naesat_to_modular_trees(formula: CnfFormula) -> SatTreesReduction:
     return SatTreesReduction(
         formula=formula,
         instance=ModularTreesInstance(graph, partition),
-        hub=hub,
-        pos_path_edges=tuple(pos_path),
-        neg_path_edges=tuple(neg_path),
-        pos_path_module=tuple(pos_path_module),
-        neg_path_module=tuple(neg_path_module),
-        pos_pair_modules=tuple(pos_pairs),
-        neg_pair_modules=tuple(neg_pairs),
+        pos_path_module=tuple(path_module[True]),
+        neg_path_module=tuple(path_module[False]),
+        pos_pair_modules=tuple(pair_modules[True]),
+        neg_pair_modules=tuple(pair_modules[False]),
         clause_edge_modules=tuple(clause_modules),
         provenance=provenance,
     )
@@ -390,11 +348,10 @@ def pull_assignment_from_trees(
     a variable is true exactly when its positive path lies in that tree."""
     _require("modular-trees", red.instance, cert, "target")
     t1 = cert.classes[0].mask
-    values = []
-    for j in range(red.formula.num_vars):
-        path_mask = mask_of(red.pos_path_edges[j])
-        values.append(path_mask & t1 == path_mask)
-    pulled = AssignmentCertificate(tuple(values))
+    blocks = red.instance.modules.blocks
+    pulled = AssignmentCertificate(
+        tuple(blocks[m].mask & t1 == blocks[m].mask for m in red.pos_path_module)
+    )
     _require("naesat", red.formula, pulled, "pulled")
     return pulled
 
@@ -407,7 +364,6 @@ def pull_assignment_from_trees(
 class EvenFactorReduction:
     digraph: Digraph
     graph: BipartiteGraph
-    arc_edges: dict[tuple[int, int], tuple[int, int]]
     path_edges: tuple[tuple[tuple[int, int], ...], ...]
     provenance: dict[str, str]
 
@@ -438,9 +394,8 @@ def even_factor_to_mod4_factor(digraph: Digraph) -> EvenFactorReduction:
         path_edges.append(path)
         edges.update(path)
         provenance[f"path:{v}"] = f"vertex {v} forced path"
-    arc_edges = {}
+    # Arc (u, v) becomes the edge (u', v''), which is (u, v) again.
     for u, v in sorted(set(digraph.arcs)):
-        arc_edges[(u, v)] = (u, v)
         edges.add((u, v))
         provenance[f"arc:{u}->{v}"] = f"arc ({u},{v}) edge"
     # Reorder labels: lefts are 0..3n-1 as [v' block, interior block].
@@ -448,7 +403,6 @@ def even_factor_to_mod4_factor(digraph: Digraph) -> EvenFactorReduction:
     return EvenFactorReduction(
         digraph=digraph,
         graph=graph,
-        arc_edges=arc_edges,
         path_edges=tuple(path_edges),
         provenance=provenance,
     )
@@ -460,8 +414,7 @@ def lift_even_factor(red: EvenFactorReduction, cert: ArcSetCertificate) -> EdgeS
     edges = set()
     for path in red.path_edges:
         edges.update(path)
-    for arc in cert.arcs:
-        edges.add(red.arc_edges[arc])
+    edges.update(cert.arcs)
     lifted = EdgeSetCertificate(frozenset(edges))
     _require("mod4-2factor", red.graph, lifted, "lifted")
     return lifted
@@ -470,8 +423,7 @@ def lift_even_factor(red: EvenFactorReduction, cert: ArcSetCertificate) -> EdgeS
 def pull_even_factor(red: EvenFactorReduction, cert: EdgeSetCertificate) -> ArcSetCertificate:
     """Drop the forced paths and read the arcs off the remaining edges."""
     _require("mod4-2factor", red.graph, cert, "target")
-    arcs = frozenset(arc for arc, edge in red.arc_edges.items() if edge in cert.edges)
-    pulled = ArcSetCertificate(arcs)
+    pulled = ArcSetCertificate(red.digraph.arc_set() & cert.edges)
     _require("even-factor", red.digraph, pulled, "pulled")
     return pulled
 
@@ -486,9 +438,6 @@ class ParityBasesReduction:
     instance: ParityInstance
     doubled: BipartiteGraph
     provenance: dict[str, str]
-
-    def copies(self, s: int) -> tuple[int, int]:
-        return 2 * s, 2 * s + 1
 
 
 def mod4_factor_to_parity_bases(graph: BipartiteGraph) -> Optional[ParityBasesReduction]:

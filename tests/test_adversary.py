@@ -1,5 +1,7 @@
 """The indistinguishable oracle pair and the query experiment."""
 
+import dataclasses
+
 import pytest
 
 from basepack.core import GroundSet, check_independence_axioms
@@ -9,7 +11,7 @@ from basepack.adversary import (
     disagreement_masks,
     run_indistinguishability,
 )
-from basepack.constructions import uniform_matroid
+from basepack.constructions import HyperplaneFamily, paving_matroid, uniform_matroid
 from basepack.instances import ModularInstance, ParityInstance
 from basepack.solvers import solve_modular_bases, solve_parity_bases
 
@@ -130,6 +132,27 @@ class TestExperiment:
         assert report.total_queries == 16
         # First disagreement is the hidden set itself (mask order).
         assert report.distinguishing_query_index == pair.hidden_set.mask
+
+    def test_extra_disagreement_is_not_agreement(self):
+        # Tamper the relaxed oracle so it also admits the union of pairs 0
+        # and 2 as a basis: the sweep then meets a differing query that is
+        # neither the hidden set nor its complement.
+        pair = build_adversary(2)
+        ground = pair.ground
+        kept = [h for h in pair.relaxed.descriptor["hyperplanes"] if h != [0, 1, 4, 5]]
+        assert len(kept) == 3
+        tampered = dataclasses.replace(
+            pair, relaxed=paving_matroid(HyperplaneFamily.build(ground, 4, kept))
+        )
+
+        def sweeper(matroid):
+            for mask in range(1 << matroid.ground.size):
+                matroid.indep_mask(mask)
+
+        report = run_indistinguishability(tampered, sweeper)
+        assert report.distinguishing_query_index == pair.hidden_set.mask
+        assert not report.agreement_verified
+        assert run_indistinguishability(pair, sweeper).agreement_verified
 
     def test_hidden_choice(self):
         pair = build_adversary(1)

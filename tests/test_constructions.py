@@ -370,6 +370,23 @@ class TestTransversalRepresentation:
         with pytest.raises(ValueError, match="prime"):
             transversal_linear_representation(g, p=2**30, seed=0)
 
+    def test_field_parsed_once_per_matrix(self, monkeypatch):
+        import basepack.fields as fields
+
+        calls = []
+        real = fields.is_prime
+
+        def counting(p):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(fields, "is_prime", counting)
+        g = random_bipartite(random.Random(3), 4, 4)
+        matrix = transversal_linear_representation(g, seed=1)
+        assert len(calls) == 1
+        assert Matrix.from_json(matrix.to_json()) == matrix
+        assert len(calls) == 2
+
     def test_deterministic_for_seed(self):
         g = random_bipartite(random.Random(2), 4, 4)
         a = transversal_linear_representation(g, seed=5)

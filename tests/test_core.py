@@ -87,13 +87,6 @@ class TestElementSet:
         with pytest.raises(ValueError):
             s.add(9)
 
-    def test_submask_enumeration(self):
-        from basepack.core import submasks
-
-        got = list(submasks(0b101))
-        assert got == [0b101, 0b100, 0b001, 0b000]
-        assert list(submasks(0)) == [0]
-
 
 class TestOracleQueries:
     def test_empty_set_always_independent(self):

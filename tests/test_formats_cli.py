@@ -1,6 +1,7 @@
 """Exchange formats, golden files, and the command-line interface."""
 
 import dataclasses
+import hashlib
 import io
 import json
 import pathlib
@@ -655,6 +656,26 @@ class TestCliPipelines:
             monkeypatch=monkeypatch, capsys=capsys,
         )
         assert code == 1 and json.loads(out)["answer"] == "NO"
+
+    def test_reduction_and_gadget_bytes_are_pinned(self, monkeypatch, capsys):
+        # sha256 of the exact stdout, recorded at commit ef158af, before the
+        # r1/r2 builders and the gadget edge tables were rewritten.
+        def digest(argv, stdin_text=""):
+            code, out, _ = run_cli(argv, stdin_text, monkeypatch=monkeypatch, capsys=capsys)
+            assert code == 0
+            return out, hashlib.sha256(out.encode()).hexdigest()
+
+        r2, r2_digest = digest(["reduce", "--rule", "r2", str(GOLDEN / "three_clause.cnf")])
+        assert r2_digest == "8bfcb891782706ff369fa3bf23c63b45160d2771944958be208726c856706f57"
+        assert digest(["reduce", "--rule", "r1", "-"], r2)[1] == (
+            "068c7ae60b71ef91e055c49796f82bbc5f47ecfa0da03fac6e892ef1a5a493d7"
+        )
+        assert digest(["reduce", "--rule", "r3", str(GOLDEN / "two_cycle.digraph")])[1] == (
+            "8ec68046adba425a982f38b183885b40952eec14ae35907985e1e013a340389f"
+        )
+        assert digest(["emit-dot", "--gadget-ell", "3"])[1] == (
+            "5407cb525f3ae8c86a31fd562d746f9dc725657bc2ded1a91d492fd7d403c218"
+        )
 
     def test_gadget_search_cli(self, monkeypatch, capsys):
         code, out, _ = run_cli(
