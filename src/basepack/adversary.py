@@ -18,9 +18,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .core import ElementSet, GroundSet, Matroid, with_query_log
+from .core import ElementSet, GroundSet, Matroid, ResourceCapExceeded, with_query_log
 from .constructions import HyperplaneFamily, PartitionOfGroundSet, paving_matroid
 from .instances import ParityInstance
+
+# Largest t built: the family check compares all C(2t, t) parity sets
+# pairwise, about 18 s at t = 8 and about 1.2e9 pairs at t = 9.
+MAX_T = 8
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,8 @@ def build_adversary(t: int, hidden_pairs: Optional[Sequence[int]] = None) -> Adv
     """
     if t < 1:
         raise ValueError("t must be positive")
+    if t > MAX_T:
+        raise ResourceCapExceeded(f"adversary t = {t} exceeds cap {MAX_T}")
     ground = GroundSet(4 * t)
     pairing = PartitionOfGroundSet.build(ground, [[2 * i, 2 * i + 1] for i in range(2 * t)])
     if hidden_pairs is None:

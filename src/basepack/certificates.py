@@ -58,6 +58,11 @@ class PartitionCertificate:
     def from_json(data: dict, ground: GroundSet) -> "PartitionCertificate":
         return PartitionCertificate(_classes(data, ground))
 
+    @staticmethod
+    def from_masks(ground: GroundSet, masks: Sequence[int]) -> "PartitionCertificate":
+        """The partition whose classes are the given bitmasks, in order."""
+        return PartitionCertificate(tuple(ElementSet.from_mask(ground, m) for m in masks))
+
 
 @dataclass(frozen=True)
 class ModularCertificate:

@@ -8,7 +8,8 @@ through the problem registry in :mod:`basepack.solvers`: JSON when the
 input starts with ``{``, else the problem's text format; an instance of
 the wrong schema is a format error.  ``--cap`` applies to the
 common-bases, naesat, even-factor and mod4-2factor solvers only.  A
-matroid descriptor nested too deeply for its recursive oracles exits 3.
+matroid descriptor nested too deeply for its recursive oracles exits 3,
+and so does ``adversary --t`` above 8, before anything is built.
 ``gadget verify`` certifies up to ell = 5 blocks on one core.
 """
 
@@ -38,7 +39,7 @@ from .gadget import (
     verify_gadget,
 )
 from .graphs import BipartiteGraph, Digraph
-from .instances import ModularTreesInstance
+from .instances import CnfFormula, ModularTreesInstance
 from .reductions import (
     CertificateRejected,
     even_factor_to_mod4_factor,
@@ -67,10 +68,9 @@ def _load_instance(problem: str, raw: str, also: tuple = ()):
         instance = load_instance(parse_json(raw))
     else:
         instance = row.parse(raw)
-        if isinstance(instance, tuple):  # parse_dimacs also returns its warnings
-            instance, warnings = instance
-            for w in warnings:
-                print(f"warning: {w}", file=sys.stderr)
+        if isinstance(instance, CnfFormula) and instance.dropped_tautologies:
+            print(f"warning: dropped {instance.dropped_tautologies} clause(s) containing "
+                  "a variable and its negation", file=sys.stderr)
     if not isinstance(instance, (row.instance, *also)):
         raise FormatError(f"{problem} expects {row.instance.__name__} input, "
                           f"got {type(instance).__name__}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .core import ElementSet, GroundSet, Matroid, bits_of
 from .fields import Matrix, gf
@@ -168,9 +168,9 @@ def paving_matroid(family: HyperplaneFamily) -> Matroid:
     return Matroid(family.universe, "paving", indep, desc)
 
 
-def linear_matroid(matrix: Matrix, labels: Optional[Sequence[str]] = None) -> Matroid:
+def linear_matroid(matrix: Matrix) -> Matroid:
     """Column sets independent iff linearly independent over the exact field."""
-    ground = GroundSet(matrix.cols, tuple(labels) if labels else None)
+    ground = GroundSet(matrix.cols)
 
     def indep(mask: int) -> bool:
         cols = list(bits_of(mask))
@@ -231,27 +231,13 @@ def truncate(matroid: Matroid, k: int) -> Matroid:
 
 
 def dual(matroid: Matroid) -> Matroid:
-    """Independent iff the complement spans the original matroid."""
+    """Independent iff the complement spans the original matroid:
+    X is co-independent exactly when r(E - X) = r(E)."""
     full = matroid.ground.full_mask
-    inner = matroid.indep_mask
 
     def indep(mask: int) -> bool:
-        # Greedy scan of the complement, stopping at full rank.
         need = matroid.full_rank
-        if need == 0:
-            return True
-        kept = 0
-        count = 0
-        rest = full & ~mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if inner(kept | low):
-                kept |= low
-                count += 1
-                if count == need:
-                    return True
-        return False
+        return matroid.rank_mask(full & ~mask) == need
 
     desc = {"kind": "dual", "inner": matroid.descriptor}
     return Matroid(matroid.ground, "dual", indep, desc)
@@ -288,15 +274,15 @@ def parallel_copies(matroid: Matroid, k: int) -> Matroid:
     return Matroid(ground, "parallel-copies", indep, desc)
 
 
-def relabel(matroid: Matroid, perm: Sequence[int], labels: Optional[Sequence[str]] = None) -> Matroid:
-    """Reindex the ground set: new element i is old element perm[i]."""
+def relabel(matroid: Matroid, perm: Sequence[int]) -> Matroid:
+    """Reindex the ground set: new element i is old element perm[i] and keeps
+    its label, if any; :meth:`~basepack.core.Matroid.with_labels` sets new ones."""
     n = matroid.ground.size
     if sorted(perm) != list(range(n)):
         raise ValueError("perm must be a permutation of the ground set")
     perm = tuple(int(p) for p in perm)
-    if labels is None and matroid.ground.labels is not None:
-        labels = tuple(matroid.ground.labels[p] for p in perm)
-    ground = GroundSet(n, tuple(labels) if labels else None)
+    labels = matroid.ground.labels
+    ground = GroundSet(n, None if labels is None else tuple(labels[p] for p in perm))
     inner = matroid.indep_mask
 
     def indep(mask: int) -> bool:

@@ -264,16 +264,20 @@ class Matroid:
         return self.indep_mask(subset.mask)
 
     def rank_mask(self, mask: int) -> int:
-        """Greedy rank: scan elements in ascending index order, keep what stays independent."""
+        """Greedy rank: scan elements in ascending index order, keep what stays
+        independent, and stop early on reaching the full rank once it is cached."""
         indep = self.indep_mask
+        need = self._rank_full  # None until the full rank is known
         kept = 0
+        count = 0
         rest = mask
-        while rest:
+        while rest and count != need:
             low = rest & -rest
             if indep(kept | low):
                 kept |= low
+                count += 1
             rest ^= low
-        return kept.bit_count()
+        return count
 
     @property
     def full_rank(self) -> int:

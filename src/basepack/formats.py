@@ -27,14 +27,14 @@ class FormatError(ValueError):
     """Malformed input file or stream."""
 
 
-def parse_dimacs(text: str) -> tuple[CnfFormula, list[str]]:
+def parse_dimacs(text: str) -> CnfFormula:
     """Parse a DIMACS CNF file.
 
     Clauses are read with not-all-equal semantics downstream.  A clause
-    containing a variable and its negation is dropped with a warning (it
-    can never have all literals equal); unit and empty clauses are
-    format errors, since a single literal is all-equal under every
-    assignment.
+    containing a variable and its negation is dropped (it can never have
+    all literals equal) and counted in the formula's
+    ``dropped_tautologies``; unit and empty clauses are format errors,
+    since a single literal is all-equal under every assignment.
     """
     num_vars = None
     num_clauses = None
@@ -75,15 +75,9 @@ def parse_dimacs(text: str) -> tuple[CnfFormula, list[str]]:
             f"problem line promises {num_clauses} clauses, found {len(raw_clauses)}"
         )
     try:
-        formula = CnfFormula.normalize(num_vars, raw_clauses)
+        return CnfFormula.normalize(num_vars, raw_clauses)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
-    warnings = []
-    if formula.dropped_tautologies:
-        warnings.append(
-            f"dropped {formula.dropped_tautologies} clause(s) containing a variable and its negation"
-        )
-    return formula, warnings
 
 
 def parse_arc_list(text: str) -> Digraph:

@@ -69,7 +69,7 @@ def max_common_independent(m1: Matroid, m2: Matroid) -> ElementSet:
                 ]
             for w in neighbors:
                 parent[w] = v
-                if not current >> w & 1 and i2(current | 1 << w):
+                if w in sinks:
                     target = w
                     queue.clear()
                     break

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import ElementSet, GroundSet, Matroid, memoized
+from .core import GroundSet, Matroid, memoized
 from .certificates import (
     ArcSetCertificate,
     AssignmentCertificate,
@@ -37,7 +37,7 @@ from .constructions import (
     transversal_matroid,
     truncate,
 )
-from .gadget import DEFAULT_LABELING, BlockLabeling, GadgetPair, build_gadget
+from .gadget import GadgetPair, default_gadget
 from .graphs import BipartiteGraph, Digraph, MultiGraph, saturating_matching, two_factor_cycles
 from .instances import (
     CnfFormula,
@@ -71,13 +71,8 @@ class CommonBasesReduction:
     module_offsets: tuple[int, ...]
     provenance: dict[str, str]
 
-    def gadget_mask(self, module_idx: int, letters: str) -> int:
-        return self.gadgets[module_idx].letters_mask(letters) << self.module_offsets[module_idx]
 
-
-def modular_to_common_bases(
-    inst: ModularInstance, labeling: BlockLabeling = DEFAULT_LABELING
-) -> CommonBasesReduction:
+def modular_to_common_bases(inst: ModularInstance) -> CommonBasesReduction:
     """Embed a modular-bases instance into a plain common-bases instance.
 
     Each module of size p receives a p-block gadget pair; gadgets of equal
@@ -100,7 +95,7 @@ def modular_to_common_bases(
     for block in blocks:
         p = len(block)
         if p not in by_size:
-            pair = build_gadget(labeling, p)
+            pair = default_gadget(p)
             second = direct_sum(free_matroid(GroundSet(p)), memoized(pair.second_matroid))
             by_size[p] = (pair, memoized(pair.first_matroid), truncate(second, 5 * p))
     gadgets = [by_size[len(block)][0] for block in blocks]
@@ -134,7 +129,8 @@ def modular_to_common_bases(
             raw_positions[offsets[m] + local] = raw + p + local
         raw += 10 * p
     perm = [raw_positions[i] for i in range(total)]
-    m2 = relabel(direct_sum_all([by_size[len(block)][2] for block in blocks]), perm, labels)
+    module_major = direct_sum_all([by_size[len(block)][2] for block in blocks])
+    m2 = relabel(module_major, perm).with_labels(labels)
 
     return CommonBasesReduction(
         source=inst,
@@ -150,26 +146,23 @@ def lift_modular_to_common(
 ) -> PartitionCertificate:
     """Map a modular-bases partition to a common-bases partition.
 
-    The class containing a module also receives that module's small
-    gadget witness class; the other class receives the large one.
+    The class containing a module also receives the small class of that
+    module's gadget witness split; the other class receives the large one.
     """
     _require("modular-bases", red.source, cert, "source")
-    ground = red.instance.ground
     b1 = cert.classes[0].mask
     first = b1
     second = cert.classes[1].mask
     for m, block in enumerate(red.source.modules.blocks):
-        small = red.gadget_mask(m, "abci")
-        large = red.gadget_mask(m, "defgh")
+        large, small = red.gadgets[m].canonical_split()
+        shift = red.module_offsets[m]
         if block.mask & b1 == block.mask:
-            first |= small
-            second |= large
+            first |= small.mask << shift
+            second |= large.mask << shift
         else:
-            first |= large
-            second |= small
-    lifted = PartitionCertificate(
-        (ElementSet.from_mask(ground, first), ElementSet.from_mask(ground, second))
-    )
+            first |= large.mask << shift
+            second |= small.mask << shift
+    lifted = PartitionCertificate.from_masks(red.instance.ground, (first, second))
     _require("common-bases", red.instance, lifted, "lifted")
     return lifted
 
@@ -570,14 +563,8 @@ def lift_to_partition_form(
     """Each class keeps its elements and adds the mirrors of the other's."""
     _require("common-bases", red.source, cert, "source")
     n = red.source.ground.size
-    ground = red.instance.ground
     b1, b2 = cert.classes[0].mask, cert.classes[1].mask
-    lifted = PartitionCertificate(
-        (
-            ElementSet.from_mask(ground, b1 | (b2 << n)),
-            ElementSet.from_mask(ground, b2 | (b1 << n)),
-        )
-    )
+    lifted = PartitionCertificate.from_masks(red.instance.ground, (b1 | b2 << n, b2 | b1 << n))
     _require("common-bases", red.instance, lifted, "lifted")
     return lifted
 
@@ -587,14 +574,9 @@ def pull_from_partition_form(
 ) -> PartitionCertificate:
     """Restrict both classes to the original elements."""
     _require("common-bases", red.instance, cert, "target")
-    n = red.source.ground.size
-    s_mask = (1 << n) - 1
     ground = red.source.ground
-    pulled = PartitionCertificate(
-        (
-            ElementSet.from_mask(ground, cert.classes[0].mask & s_mask),
-            ElementSet.from_mask(ground, cert.classes[1].mask & s_mask),
-        )
+    pulled = PartitionCertificate.from_masks(
+        ground, [c.mask & ground.full_mask for c in cert.classes]
     )
     _require("common-bases", red.source, pulled, "pulled")
     return pulled

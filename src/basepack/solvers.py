@@ -73,7 +73,7 @@ def solve_common_bases(
     )
     if classes is None:
         return None
-    return PartitionCertificate(tuple(ElementSet.from_mask(inst.ground, m) for m in classes))
+    return PartitionCertificate.from_masks(inst.ground, classes)
 
 
 def _split_modules(
@@ -283,7 +283,9 @@ def solve_mod4_two_factor(
 # enumeration, so verification stays polynomial.
 
 
-def _verify_partition(classes: Sequence[ElementSet], full_mask: int) -> Optional[str]:
+def _verify_partition(classes: Sequence[ElementSet], k: int, full_mask: int) -> Optional[str]:
+    if len(classes) != k:
+        return f"expected {k} classes, got {len(classes)}"
     seen = 0
     for c in classes:
         if c.mask & seen:
@@ -295,9 +297,7 @@ def _verify_partition(classes: Sequence[ElementSet], full_mask: int) -> Optional
 
 
 def _verify_common_bases(inst: CommonBasesInstance, cert: PartitionCertificate) -> Optional[str]:
-    if len(cert.classes) != inst.k:
-        return f"expected {inst.k} classes, got {len(cert.classes)}"
-    bad = _verify_partition(cert.classes, inst.ground.full_mask)
+    bad = _verify_partition(cert.classes, inst.k, inst.ground.full_mask)
     if bad:
         return bad
     for idx, c in enumerate(cert.classes):
@@ -315,9 +315,7 @@ def _verify_modular_partition(
     indep: Callable[[int], bool],
 ) -> Optional[str]:
     """Two classes of ``basis_size`` independent elements, each a union of modules."""
-    if len(cert.classes) != 2:
-        return "expected two classes"
-    bad = _verify_partition(cert.classes, full_mask)
+    bad = _verify_partition(cert.classes, 2, full_mask)
     if bad:
         return bad
     union = 0

@@ -472,3 +472,33 @@ def reference_matching(adj, lefts) -> dict[int, int]:
     for s in lefts:
         augment(s, set())
     return match_right
+
+
+def reference_dual(matroid: Matroid) -> Matroid:
+    """The dual as a scan of its own: a greedy scan of the complement that
+    stops once it holds full-rank many elements.
+
+    The full rank comes from a plain greedy scan over the whole ground
+    set on the first query.  Kept to check that the dual built on
+    ``Matroid.rank_mask`` answers the same with the same inner queries.
+    """
+    full = matroid.ground.full_mask
+    inner = matroid.indep_mask
+    known: list[int] = []
+
+    def greedy(mask: int, stop: int) -> int:
+        kept = 0
+        rest = mask
+        while rest and kept.bit_count() != stop:
+            low = rest & -rest
+            rest ^= low
+            if inner(kept | low):
+                kept |= low
+        return kept.bit_count()
+
+    def indep(mask: int) -> bool:
+        if not known:
+            known.append(greedy(full, -1))
+        return greedy(full & ~mask, known[0]) == known[0]
+
+    return Matroid(matroid.ground, "dual", indep)

@@ -34,6 +34,7 @@ from helpers import (
     random_matroid,
     random_multigraph,
     reference_direct_sum,
+    reference_dual,
     reference_matching,
 )
 
@@ -311,6 +312,28 @@ class TestCombinators:
         for _ in range(12):
             m = random_matroid(rng, rng.randint(0, 6))
             assert oracle_equal(dual(dual(m)), m)
+
+    def test_dual_matches_reference_scan(self):
+        # Same answers, and the inner oracle sees the same queries in the
+        # same order, repeats included.
+        rng = random.Random(53)
+
+        def taped(m, tape):
+            def indep(mask):
+                tape.append(mask)
+                return m.indep_mask(mask)
+            return Matroid(m.ground, m.kind, indep)
+
+        inners = [uniform_matroid(GroundSet(n), 0) for n in (0, 1, 5)]
+        inners += [random_matroid(rng, rng.randint(0, 9)) for _ in range(60)]
+        for m in inners:
+            tape, ref_tape = [], []
+            co, ref = dual(taped(m, tape)), reference_dual(taped(m, ref_tape))
+            masks = list(range(1 << m.ground.size))
+            rng.shuffle(masks)
+            for mask in masks[:40]:
+                assert co.indep_mask(mask) == ref.indep_mask(mask)
+            assert tape == ref_tape
 
     def test_dual_of_k4_rank(self):
         m = dual(graphic_matroid(K4))

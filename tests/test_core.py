@@ -257,6 +257,20 @@ class TestQueryLog:
             [0, 1, 3],
         ]
 
+    def test_rank_stops_at_cached_full_rank(self):
+        m = uniform_matroid(GroundSet(10), 2)
+        calls = []
+
+        def counting(mask):
+            calls.append(mask)
+            return m.indep_mask(mask)
+
+        counted = Matroid(m.ground, m.kind, counting)
+        assert counted.full_rank == 2 and len(calls) == 10
+        calls.clear()
+        assert counted.rank_mask(m.ground.full_mask) == 2
+        assert len(calls) == 2
+
     def test_wrapping_never_changes_answers(self):
         rng = random.Random(17)
         for _ in range(10):

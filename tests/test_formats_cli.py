@@ -6,6 +6,7 @@ import io
 import json
 import pathlib
 import random
+import time
 
 import pytest
 
@@ -38,7 +39,7 @@ def _json_text(instance) -> str:
 
 
 MODULAR_JSON = (GOLDEN / "modular_u42.json").read_text()
-TREES_JSON = _json_text(naesat_to_modular_trees(parse_dimacs("p cnf 2 1\n1 2 0\n")[0]).instance)
+TREES_JSON = _json_text(naesat_to_modular_trees(parse_dimacs("p cnf 2 1\n1 2 0\n")).instance)
 DIGRAPH_JSON = _json_text(parse_arc_list((GOLDEN / "two_cycle.digraph").read_text()))
 BIPARTITE_JSON = _json_text(parse_bipartite((GOLDEN / "eight_cycle.bipartite").read_text()))
 
@@ -68,15 +69,25 @@ def run_cli(argv, stdin_text="", monkeypatch=None, capsys=None):
 
 class TestDimacs:
     def test_golden_three_clause(self):
-        formula, warnings = parse_dimacs((GOLDEN / "three_clause.cnf").read_text())
+        formula = parse_dimacs((GOLDEN / "three_clause.cnf").read_text())
         assert formula.num_vars == 4
         assert len(formula.clauses) == 3
-        assert not warnings
+        assert formula.dropped_tautologies == 0
 
     def test_tautological_clause_dropped_with_warning(self):
-        formula, warnings = parse_dimacs("p cnf 2 2\n1 -1 0\n1 2 0\n")
+        formula = parse_dimacs("p cnf 2 2\n1 -1 0\n1 2 0\n")
         assert len(formula.clauses) == 1
-        assert warnings and "dropped 1" in warnings[0]
+        assert formula.dropped_tautologies == 1
+
+    def test_dropped_clause_warning_reaches_stderr(self, monkeypatch, capsys):
+        code, out, err = run_cli(
+            ["solve", "--problem", "naesat", "-"], stdin_text="p cnf 2 2\n1 -1 0\n1 2 0\n",
+            monkeypatch=monkeypatch, capsys=capsys,
+        )
+        assert code == 0 and json.loads(out)["schema"] == "certificate/naesat/1"
+        assert err == (
+            "warning: dropped 1 clause(s) containing a variable and its negation\n"
+        )
 
     def test_unit_clause_rejected(self):
         with pytest.raises(FormatError, match="unit"):
@@ -95,7 +106,7 @@ class TestDimacs:
             parse_dimacs("p cnf 2 5\n1 2 0\n")
 
     def test_empty_formula_is_parsable(self):
-        formula, _ = parse_dimacs("p cnf 3 0\n")
+        formula = parse_dimacs("p cnf 3 0\n")
         assert formula.num_vars == 3 and formula.clauses == ()
 
 
@@ -125,7 +136,7 @@ class TestInstanceJson:
         assert solve_modular_bases(inst) is not None
 
     def test_round_trip_every_reduction_output(self):
-        formula, _ = parse_dimacs((GOLDEN / "three_clause.cnf").read_text())
+        formula = parse_dimacs((GOLDEN / "three_clause.cnf").read_text())
         trees = naesat_to_modular_trees(formula).instance
         modular = trees.to_modular_instance()
         common = modular_to_common_bases(modular).instance
@@ -692,6 +703,15 @@ class TestCliPipelines:
         data = json.loads(out)
         assert data["distinguishing_query_index"] is not None
         assert data["candidate_hidden_sets"] == 2
+
+    def test_adversary_cli_t_above_cap_is_exit_three(self, monkeypatch, capsys):
+        started = time.perf_counter()
+        code, out, err = run_cli(
+            ["adversary", "--t", "9"], monkeypatch=monkeypatch, capsys=capsys
+        )
+        assert code == 3 and out == ""
+        assert "exceeds cap 8" in err
+        assert time.perf_counter() - started < 2
 
     @pytest.mark.parametrize("descriptor", [
         {"kind": "free", "size": 2.5},

@@ -46,7 +46,7 @@ SEEDS = [
     ("modular-bases", json.loads((GOLDEN / "modular_u42.json").read_text())),
     ("parity-bases", dump_instance(mod4_factor_to_parity_bases(BIPARTITE).instance)),
     ("modular-trees", dump_instance(
-        naesat_to_modular_trees(parse_dimacs("p cnf 2 1\n1 2 0\n")[0]).instance)),
+        naesat_to_modular_trees(parse_dimacs("p cnf 2 1\n1 2 0\n")).instance)),
     ("naesat", THREE_CLAUSE),
     ("even-factor", dump_instance(DIGRAPH)),
     ("mod4-2factor", dump_instance(BIPARTITE)),
