@@ -25,6 +25,10 @@ from .instances import ParityInstance
 # Largest t built: the family check compares all C(2t, t) parity sets
 # pairwise, about 18 s at t = 8 and about 1.2e9 pairs at t = 9.
 MAX_T = 8
+# Largest t for a solver that queries all 2^(4t) masks: its query log
+# holds one entry per mask, 2^20 at t = 5 (the run peaks near 100 MiB)
+# and sixteen times that at t = 6.
+SWEEP_MAX_T = 5
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ input starts with ``{``, else the problem's text format; an instance of
 the wrong schema is a format error.  ``--cap`` applies to the
 common-bases, naesat, even-factor and mod4-2factor solvers only.  A
 matroid descriptor nested too deeply for its recursive oracles exits 3,
-and so does ``adversary --t`` above 8, before anything is built.
+and so does ``adversary --t`` above 8 (above 5 for the ``size-order``
+and ``pair-avoider`` solvers, which query every subset), before
+anything is built.
 ``gadget verify`` certifies up to ell = 5 blocks on one core.
 """
 
@@ -21,7 +23,12 @@ import sys
 import traceback
 
 from .core import ResourceCapExceeded, UniverseMismatch, check_independence_axioms
-from .adversary import build_adversary, count_parity_hiding_sets, run_indistinguishability
+from .adversary import (
+    SWEEP_MAX_T,
+    build_adversary,
+    count_parity_hiding_sets,
+    run_indistinguishability,
+)
 from .formats import (
     FormatError,
     dump_instance,
@@ -152,16 +159,32 @@ def cmd_gadget(args) -> int:
     return EXIT_YES if cert.ok else EXIT_NO
 
 
+def _masks_by_size(n: int):
+    """Every n-bit mask in (popcount, value) order, each size class walked
+    with Gosper's next-combination step."""
+    yield 0
+    for k in range(1, n + 1):
+        m = (1 << k) - 1
+        while not m >> n:
+            yield m
+            low = m & -m
+            ripple = m + low
+            m = ((ripple ^ m) >> 2) // low | ripple
+
+
 def cmd_adversary(args) -> int:
+    if args.solver != "parity-sweep" and args.t > SWEEP_MAX_T:
+        raise ResourceCapExceeded(
+            f"solver {args.solver} queries all 2^{4 * args.t} subsets; "
+            f"t = {args.t} exceeds cap {SWEEP_MAX_T}"
+        )
     pair = build_adversary(args.t)
     if args.solver == "parity-sweep":
         def solver(matroid):
             return solve_parity_bases(pair.parity_instance(matroid))
     elif args.solver == "size-order":
         def solver(matroid):
-            n = matroid.ground.size
-            masks = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
-            for m in masks:
+            for m in _masks_by_size(matroid.ground.size):
                 matroid.indep_mask(m)
             return None
     elif args.solver == "pair-avoider":

@@ -7,7 +7,11 @@ relabeling.  Every constructor returns an immutable oracle
 
 All combinators work at the oracle level.  In particular truncation is an
 oracle filter, not a representation-level operation: behaviorally the two
-agree, and no field extensions are needed.
+agree, and no field extensions are needed.  Every constructor and
+combinator also supplies its rank in closed form (a count, one
+union-find pass, one elimination, one maximum matching, or one call per
+inner rank), so a rank query on a tree built here never falls back to a
+greedy scan of an independence oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .core import ElementSet, GroundSet, Matroid, bits_of
 from .fields import Matrix, gf
-from .graphs import BipartiteGraph, MultiGraph, saturating_matching
+from .graphs import BipartiteGraph, MultiGraph, augment
 
 MIN_REPRESENTATION_PRIME = 10**6
 DEFAULT_REPRESENTATION_PRIME = 2147483647  # 2^31 - 1
@@ -90,7 +94,7 @@ class HyperplaneFamily:
 def free_matroid(ground: GroundSet) -> Matroid:
     """Every subset independent."""
     desc = {"kind": "free", "size": ground.size}
-    return Matroid(ground, "free", lambda mask: True, desc)
+    return Matroid(ground, "free", lambda mask: True, desc, int.bit_count)
 
 
 def uniform_matroid(ground: GroundSet, r: int) -> Matroid:
@@ -98,7 +102,8 @@ def uniform_matroid(ground: GroundSet, r: int) -> Matroid:
     if not 0 <= r <= ground.size:
         raise ValueError(f"uniform rank {r} out of range for size {ground.size}")
     desc = {"kind": "uniform", "size": ground.size, "r": r}
-    return Matroid(ground, "uniform", lambda mask: mask.bit_count() <= r, desc)
+    return Matroid(ground, "uniform", lambda mask: mask.bit_count() <= r, desc,
+                   lambda mask: min(mask.bit_count(), r))
 
 
 def partition_matroid(partition: PartitionOfGroundSet, caps: Sequence[int]) -> Matroid:
@@ -117,9 +122,12 @@ def partition_matroid(partition: PartitionOfGroundSet, caps: Sequence[int]) -> M
                 return False
         return True
 
+    def rank(mask: int) -> int:
+        return sum(min((mask & block).bit_count(), cap) for block, cap in zip(blocks, caps))
+
     desc = {"kind": "partition", "size": partition.universe.size,
             "blocks": partition.to_json(), "caps": list(caps)}
-    return Matroid(partition.universe, "partition", indep, desc)
+    return Matroid(partition.universe, "partition", indep, desc, rank)
 
 
 def graphic_matroid(graph: MultiGraph) -> Matroid:
@@ -129,25 +137,37 @@ def graphic_matroid(graph: MultiGraph) -> Matroid:
     two-element circuit.
     """
     desc = {"kind": "graphic", "graph": graph.to_json()}
-    return Matroid(graph.ground_set(), "graphic", graph.is_forest_mask, desc)
+    return Matroid(graph.ground_set(), "graphic", graph.is_forest_mask, desc,
+                   graph.forest_rank_mask)
 
 
 def transversal_matroid(graph: BipartiteGraph) -> Matroid:
-    """Left-side sets independent iff a matching saturates them."""
+    """Left-side sets independent iff a matching saturates them; the rank
+    of a set is the size of a maximum matching of it."""
     adj = graph.adjacency()
 
     def indep(mask: int) -> bool:
-        return saturating_matching(adj, bits_of(mask)) is not None
+        match: dict[int, int] = {}
+        for s in bits_of(mask):
+            if not augment(adj, match, s):
+                return False
+        return True
+
+    def rank(mask: int) -> int:
+        match: dict[int, int] = {}
+        return sum(augment(adj, match, s) for s in bits_of(mask))
 
     desc = {"kind": "transversal", "graph": graph.to_json()}
-    return Matroid(graph.left, "transversal", indep, desc)
+    return Matroid(graph.left, "transversal", indep, desc, rank)
 
 
 def paving_matroid(family: HyperplaneFamily) -> Matroid:
     """Bases are the r-sets contained in no family set.
 
     Every set smaller than r is independent, so the result is paving by
-    construction; the family invariants guarantee the basis axioms.
+    construction; the family invariants guarantee the basis axioms.  The
+    family sets are the hyperplanes with at least r elements, so a set of
+    r or more elements has rank r - 1 inside a family set and r otherwise.
     """
     r = family.r
     exclusions = tuple(h.mask for h in family.sets)
@@ -163,9 +183,18 @@ def paving_matroid(family: HyperplaneFamily) -> Matroid:
                 return False
         return True
 
+    def rank(mask: int) -> int:
+        size = mask.bit_count()
+        if size < r:
+            return size
+        for h in exclusions:
+            if mask & ~h == 0:
+                return r - 1
+        return r
+
     desc = {"kind": "paving", "size": family.universe.size, "r": r,
             "hyperplanes": [sorted(h) for h in family.sets]}
-    return Matroid(family.universe, "paving", indep, desc)
+    return Matroid(family.universe, "paving", indep, desc, rank)
 
 
 def linear_matroid(matrix: Matrix) -> Matroid:
@@ -176,8 +205,11 @@ def linear_matroid(matrix: Matrix) -> Matroid:
         cols = list(bits_of(mask))
         return matrix.columns_independent(cols)
 
+    def rank(mask: int) -> int:
+        return matrix.column_rank(list(bits_of(mask)))
+
     desc = {"kind": "linear", "matrix": matrix.to_json()}
-    return Matroid(ground, "linear", indep, desc)
+    return Matroid(ground, "linear", indep, desc, rank)
 
 
 def direct_sum(m1: Matroid, m2: Matroid) -> Matroid:
@@ -189,8 +221,9 @@ def direct_sum_all(parts: Sequence[Matroid]) -> Matroid:
     """Disjoint union: independent iff every part's projection is independent.
 
     Each ground set is shifted past the ones before it.  The parts are
-    queried left to right, stopping at the first dependent projection,
-    and the descriptor lists every part in one flat ``parts`` list.
+    queried left to right, stopping at the first dependent projection;
+    the rank is the sum of the projected part ranks.  The descriptor
+    lists every part in one flat ``parts`` list.
     Labels are merged when every part has them and they stay unique,
     otherwise dropped.  A single part is returned as it is.
     """
@@ -201,46 +234,58 @@ def direct_sum_all(parts: Sequence[Matroid]) -> Matroid:
         merged = tuple(t for m in parts for t in m.ground.labels)
         if len(set(merged)) == len(merged):
             labels = merged
-    pieces = []  # (shift, width mask, oracle) per part
+    pieces = []  # (shift, width mask, oracle, rank) per part
     size = 0
     for m in parts:
-        pieces.append((size, (1 << m.ground.size) - 1, m.indep_mask))
+        pieces.append((size, (1 << m.ground.size) - 1, m.indep_mask, m.rank_mask))
         size += m.ground.size
 
     def indep(mask: int) -> bool:
-        for shift, width, inner in pieces:
+        for shift, width, inner, _ in pieces:
             if not inner(mask >> shift & width):
                 return False
         return True
 
+    def rank(mask: int) -> int:
+        return sum(inner(mask >> shift & width) for shift, width, _, inner in pieces)
+
     desc = {"kind": "direct-sum", "parts": [m.descriptor for m in parts]}
-    return Matroid(GroundSet(size, labels), "direct-sum", indep, desc)
+    return Matroid(GroundSet(size, labels), "direct-sum", indep, desc, rank)
 
 
 def truncate(matroid: Matroid, k: int) -> Matroid:
-    """Keep independent sets of size at most ``k``."""
+    """Keep independent sets of size at most ``k``; rank is ``min(k, r)``."""
     if k < 0:
         raise ValueError("truncation bound must be non-negative")
     inner = matroid.indep_mask
+    inner_rank = matroid.rank_mask
 
     def indep(mask: int) -> bool:
         return mask.bit_count() <= k and inner(mask)
 
     desc = {"kind": "truncation", "k": k, "inner": matroid.descriptor}
-    return Matroid(matroid.ground, "truncation", indep, desc)
+    return Matroid(matroid.ground, "truncation", indep, desc,
+                   lambda mask: min(k, inner_rank(mask)))
 
 
 def dual(matroid: Matroid) -> Matroid:
     """Independent iff the complement spans the original matroid:
-    X is co-independent exactly when r(E - X) = r(E)."""
+    X is co-independent exactly when r(E - X) = r(E).  The dual rank is
+    r*(X) = |X| + r(E - X) - r(E) (Oxley, *Matroid Theory*, section 2.1):
+    one inner rank call per query either way, after the full rank."""
     full = matroid.ground.full_mask
+    inner_rank = matroid.rank_mask
 
     def indep(mask: int) -> bool:
         need = matroid.full_rank
-        return matroid.rank_mask(full & ~mask) == need
+        return inner_rank(full & ~mask) == need
+
+    def rank(mask: int) -> int:
+        need = matroid.full_rank
+        return mask.bit_count() + inner_rank(full & ~mask) - need
 
     desc = {"kind": "dual", "inner": matroid.descriptor}
-    return Matroid(matroid.ground, "dual", indep, desc)
+    return Matroid(matroid.ground, "dual", indep, desc, rank)
 
 
 def parallel_copies(matroid: Matroid, k: int) -> Matroid:
@@ -248,7 +293,8 @@ def parallel_copies(matroid: Matroid, k: int) -> Matroid:
 
     Copy j of element e sits at index e*k + j and is labeled "<e>#<j+1>".
     Independent iff at most one copy of each element is used and the
-    projection is independent in the original.
+    projection is independent in the original; the rank is the rank of
+    the projection.
     """
     if k < 1:
         raise ValueError("need at least one copy")
@@ -258,6 +304,7 @@ def parallel_copies(matroid: Matroid, k: int) -> Matroid:
     )
     ground = GroundSet(n * k, labels)
     inner = matroid.indep_mask
+    inner_rank = matroid.rank_mask
     copy_masks = [((1 << k) - 1) << (e * k) for e in range(n)]
 
     def indep(mask: int) -> bool:
@@ -270,8 +317,15 @@ def parallel_copies(matroid: Matroid, k: int) -> Matroid:
                 projected |= 1 << e
         return inner(projected)
 
+    def rank(mask: int) -> int:
+        projected = 0
+        for e in range(n):
+            if mask & copy_masks[e]:
+                projected |= 1 << e
+        return inner_rank(projected)
+
     desc = {"kind": "parallel-copies", "k": k, "inner": matroid.descriptor}
-    return Matroid(ground, "parallel-copies", indep, desc)
+    return Matroid(ground, "parallel-copies", indep, desc, rank)
 
 
 def relabel(matroid: Matroid, perm: Sequence[int]) -> Matroid:
@@ -284,18 +338,19 @@ def relabel(matroid: Matroid, perm: Sequence[int]) -> Matroid:
     labels = matroid.ground.labels
     ground = GroundSet(n, None if labels is None else tuple(labels[p] for p in perm))
     inner = matroid.indep_mask
+    inner_rank = matroid.rank_mask
 
-    def indep(mask: int) -> bool:
+    def remap(mask: int) -> int:
         inner_mask = 0
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
+        while mask:
+            low = mask & -mask
+            mask ^= low
             inner_mask |= 1 << perm[low.bit_length() - 1]
-        return inner(inner_mask)
+        return inner_mask
 
     desc = {"kind": "relabel", "perm": list(perm), "inner": matroid.descriptor}
-    return Matroid(ground, "relabel", indep, desc)
+    return Matroid(ground, "relabel", lambda mask: inner(remap(mask)), desc,
+                   lambda mask: inner_rank(remap(mask)))
 
 
 def transversal_linear_representation(

@@ -3,8 +3,10 @@
 A matroid here is a ground set of dense integer indices together with an
 independence oracle over subsets.  Subsets are carried as bitmasks so that
 exhaustive sweeps, set algebra, and oracle dispatch stay cheap at desk
-scale.  Every derived notion (rank, bases, axiom checks) is computed
-through the oracle alone.
+scale.  Rank is answered in native closed form where the builder
+supplies one, greedily through the independence oracle otherwise; the
+other derived notions (bases, axiom checks) go through the independence
+oracle alone.
 
 Matroids are immutable after construction and safe to query concurrently.
 The only mutable object in this module is :class:`QueryLog`, which is
@@ -231,12 +233,14 @@ class Matroid:
     unequal size admit an exchange element.
 
     ``indep_mask`` is the oracle itself, stored as given, so a query
-    costs no forwarding call.  ``descriptor`` is a JSON-friendly
-    construction tree used for serialization; oracles built ad hoc may
-    leave it as a bare kind tag.
+    costs no forwarding call.  ``rank_mask`` is stored the same way: the
+    optional ``rank`` callable, the builder's closed form for the rank of
+    a bitmask, or else the greedy scan through ``indep_mask``.
+    ``descriptor`` is a JSON-friendly construction tree used for
+    serialization; oracles built ad hoc may leave it as a bare kind tag.
     """
 
-    __slots__ = ("ground", "kind", "indep_mask", "descriptor", "_rank_full")
+    __slots__ = ("ground", "kind", "indep_mask", "rank_mask", "descriptor", "_rank_full")
 
     def __init__(
         self,
@@ -244,17 +248,19 @@ class Matroid:
         kind: str,
         indep: Callable[[int], bool],
         descriptor: Optional[dict] = None,
+        rank: Optional[Callable[[int], int]] = None,
     ):
         self.ground = ground
         self.kind = kind
         self.indep_mask = indep
+        self.rank_mask = rank if rank is not None else self._greedy_rank
         self.descriptor = descriptor if descriptor is not None else {"kind": kind}
         self._rank_full: Optional[int] = None
 
     def with_labels(self, labels: Sequence[str]) -> "Matroid":
-        """The same oracle and descriptor over a ground set with new labels."""
+        """The same oracles and descriptor over a ground set with new labels."""
         ground = GroundSet(self.ground.size, tuple(labels))
-        return Matroid(ground, self.kind, self.indep_mask, self.descriptor)
+        return Matroid(ground, self.kind, self.indep_mask, self.descriptor, self.rank_mask)
 
     def is_independent(self, subset: ElementSet) -> bool:
         if subset.universe.size != self.ground.size:
@@ -263,7 +269,7 @@ class Matroid:
             )
         return self.indep_mask(subset.mask)
 
-    def rank_mask(self, mask: int) -> int:
+    def _greedy_rank(self, mask: int) -> int:
         """Greedy rank: scan elements in ascending index order, keep what stays
         independent, and stop early on reaching the full rank once it is cached."""
         indep = self.indep_mask
@@ -298,7 +304,8 @@ def is_independent(matroid: Matroid, subset: ElementSet) -> bool:
 
 
 def rank(matroid: Matroid, subset: Optional[ElementSet] = None) -> int:
-    """Rank of ``subset`` (default: whole ground set), computed greedily."""
+    """Rank of ``subset`` (default: whole ground set): in native closed form
+    where the matroid's builder supplies one, greedily otherwise."""
     if subset is None:
         return matroid.full_rank
     if subset.universe.size != matroid.ground.size:
@@ -506,7 +513,10 @@ class QueryLog:
 def with_query_log(matroid: Matroid) -> tuple[Matroid, QueryLog]:
     """Wrap a matroid so every distinct oracle query is answered once and logged.
 
-    The wrapper answers exactly as the original; only the log is new.
+    The wrapper answers exactly as the original; only the log is new.  It
+    does not forward the original's native rank: a rank query on the
+    wrapper is a greedy scan through the logged oracle, so every
+    independence query a rank costs is recorded.
     """
     log = QueryLog(matroid.ground)
     answers = log.answers
@@ -519,8 +529,3 @@ def with_query_log(matroid: Matroid) -> tuple[Matroid, QueryLog]:
         return hit
 
     return Matroid(matroid.ground, matroid.kind, cached, matroid.descriptor), log
-
-
-def memoized(matroid: Matroid) -> Matroid:
-    """A clone whose oracle caches answers by mask (unbounded; desk scale only)."""
-    return with_query_log(matroid)[0]

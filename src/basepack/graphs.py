@@ -102,6 +102,10 @@ class MultiGraph:
         """True iff the edges selected by ``mask`` form a forest."""
         return union_find(self.vertex_count, self._ends, mask, forest=True) >= 0
 
+    def forest_rank_mask(self, mask: int) -> int:
+        """Edge count of a spanning forest of the edges selected by ``mask``."""
+        return self.vertex_count - union_find(self.vertex_count, self._ends, mask)
+
     def component_count(self) -> int:
         """Connected components of the whole graph."""
         return union_find(self.vertex_count, self._ends, (1 << len(self.edges)) - 1)
@@ -189,43 +193,43 @@ class BipartiteGraph:
         return "\n".join(lines)
 
 
-def saturating_matching(
-    adj: Sequence[Sequence[int]], lefts: Iterable[int]
-) -> Optional[dict[int, int]]:
-    """Augmenting-path matching covering every left vertex in ``lefts``.
+def augment(adj: Sequence[Sequence[int]], match_right: dict[int, int], s: int) -> bool:
+    """One augmenting-path step of Kuhn's matching: try to match left vertex ``s``.
 
-    Returns right -> left assignments, or None as soon as a left vertex
-    cannot be matched.  Deterministic: lefts and their adjacency are
-    scanned in the given order, each augmenting path found depth-first
-    with an explicit stack, so its length is not bounded by the recursion
-    limit.
+    ``match_right`` maps right -> left and grows by one pair when an
+    augmenting path from ``s`` exists; otherwise it is left as it was and
+    the result is False.  Deterministic: the adjacency is scanned in the
+    given order, the path found depth-first with an explicit stack, so
+    its length is not bounded by the recursion limit.  Calling it once
+    per left vertex builds a maximum matching of those vertices.
     """
-    match_right: dict[int, int] = {}
+    row = adj[s]
+    if row and row[0] not in match_right:  # the path's first step, taken without a search
+        match_right[row[0]] = s
+        return True
+    seen: set[int] = set()
     stack = []  # (left, rest of its adjacency, right vertex it stepped to) per path level
-    for s in lefts:
-        seen: set[int] = set()
-        u, scan = s, iter(adj[s])
-        while True:
-            for t in scan:
-                if t not in seen:
-                    break
-            else:
-                if not stack:
-                    return None
-                u, scan, _ = stack.pop()
-                continue
-            seen.add(t)
-            v = match_right.get(t)
-            if v is None:
-                # Flip the path: each left vertex on it takes its step.
-                match_right[t] = u
-                while stack:
-                    u, _, t = stack.pop()
-                    match_right[t] = u
+    u, scan = s, iter(adj[s])
+    while True:
+        for t in scan:
+            if t not in seen:
                 break
-            stack.append((u, scan, t))
-            u, scan = v, iter(adj[v])
-    return match_right
+        else:
+            if not stack:
+                return False
+            u, scan, _ = stack.pop()
+            continue
+        seen.add(t)
+        v = match_right.get(t)
+        if v is None:
+            # Flip the path: each left vertex on it takes its step.
+            match_right[t] = u
+            while stack:
+                u, _, t = stack.pop()
+                match_right[t] = u
+            return True
+        stack.append((u, scan, t))
+        u, scan = v, iter(adj[v])
 
 
 @dataclass(frozen=True)

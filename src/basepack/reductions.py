@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import GroundSet, Matroid, memoized
+from .core import GroundSet, Matroid
 from .certificates import (
     ArcSetCertificate,
     AssignmentCertificate,
@@ -38,7 +38,7 @@ from .constructions import (
     truncate,
 )
 from .gadget import GadgetPair, default_gadget
-from .graphs import BipartiteGraph, Digraph, MultiGraph, saturating_matching, two_factor_cycles
+from .graphs import BipartiteGraph, Digraph, MultiGraph, augment, two_factor_cycles
 from .instances import (
     CnfFormula,
     CommonBasesInstance,
@@ -77,7 +77,7 @@ def modular_to_common_bases(inst: ModularInstance) -> CommonBasesReduction:
 
     Each module of size p receives a p-block gadget pair; gadgets of equal
     size are identical, so modules of one size share one pair and one
-    cached oracle per side.  The new ground set keeps the original
+    oracle per side.  The new ground set keeps the original
     elements first, then the gadget elements module by module, ten times
     the original size in total.  The first output matroid is the
     half-size truncation of the original matroid summed with every
@@ -89,15 +89,13 @@ def modular_to_common_bases(inst: ModularInstance) -> CommonBasesReduction:
     n = matroid.ground.size
     blocks = inst.modules.blocks
     # Module size -> (gadget pair, first-side part, second-side component).
-    # Sweeps and greedy rank scans hit each gadget component with highly
-    # repetitive local masks, so cache the component oracles.
     by_size: dict[int, tuple[GadgetPair, Matroid, Matroid]] = {}
     for block in blocks:
         p = len(block)
         if p not in by_size:
             pair = default_gadget(p)
-            second = direct_sum(free_matroid(GroundSet(p)), memoized(pair.second_matroid))
-            by_size[p] = (pair, memoized(pair.first_matroid), truncate(second, 5 * p))
+            second = direct_sum(free_matroid(GroundSet(p)), pair.second_matroid)
+            by_size[p] = (pair, pair.first_matroid, truncate(second, 5 * p))
     gadgets = [by_size[len(block)][0] for block in blocks]
     offsets = []
     labels = [matroid.ground.label(e) for e in range(n)]
@@ -498,9 +496,8 @@ def pull_factor_from_parity(
     adj = red.doubled.adjacency()
     factor: set[tuple[int, int]] = set()
     for cls in cert.classes:
-        lefts = sorted(cls)
-        matching = saturating_matching(adj, lefts)
-        if matching is None:
+        matching: dict[int, int] = {}
+        if not all(augment(adj, matching, s) for s in sorted(cls)):
             raise CertificateRejected("class is not saturated by any matching")
         for t, left in matching.items():
             factor.add((left // 2, t))

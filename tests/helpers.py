@@ -45,6 +45,16 @@ def naive_rank(matroid: Matroid, mask: int) -> int:
     return best
 
 
+def reference_rank(matroid: Matroid, mask: int) -> int:
+    """Greedy rank through the independence oracle alone, in ascending
+    element order with no early stop: what every native rank must equal."""
+    kept = 0
+    for e in bits_of(mask):
+        if matroid.indep_mask(kept | 1 << e):
+            kept |= 1 << e
+    return kept.bit_count()
+
+
 def naive_bases(matroid: Matroid) -> list[int]:
     n = matroid.ground.size
     r = naive_rank(matroid, (1 << n) - 1)
@@ -272,11 +282,16 @@ def random_paving_family(rng: random.Random, ground: GroundSet, r: int) -> Hyper
     )
 
 
-def random_matroid(rng: random.Random, n: int) -> Matroid:
-    """A random small matroid drawn across the construction classes."""
-    kind = rng.choice(
-        ["uniform", "free", "graphic", "transversal", "partition", "paving", "linear", "combined"]
-    )
+MATROID_KINDS = (
+    "uniform", "free", "graphic", "transversal", "partition", "paving", "linear", "combined"
+)
+
+
+def random_matroid(rng: random.Random, n: int, kind: str | None = None) -> Matroid:
+    """A random small matroid drawn across the construction classes, or of
+    the given ``kind`` (paving needs n >= 2, combined n >= 2 to combine)."""
+    if kind is None:
+        kind = rng.choice(MATROID_KINDS)
     ground = GroundSet(n)
     if n == 0:
         return free_matroid(ground)

@@ -26,9 +26,10 @@ from basepack.constructions import (
     uniform_matroid,
 )
 from basepack.fields import Matrix, gf, incidence_matrix_gf2
-from basepack.graphs import BipartiteGraph, MultiGraph, saturating_matching
+from basepack.graphs import BipartiteGraph, MultiGraph, augment
 
 from helpers import (
+    MATROID_KINDS,
     oracle_equal,
     random_bipartite,
     random_matroid,
@@ -36,6 +37,7 @@ from helpers import (
     reference_direct_sum,
     reference_dual,
     reference_matching,
+    reference_rank,
 )
 
 K4 = MultiGraph.build(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -119,21 +121,21 @@ class TestTransversal:
         assert not m.indep_mask(0b10)
 
     def test_matching_matches_recursive_reference(self):
-        # Same scan order: the same pairs, inserted in the same order.
+        # Same scan order: the same pairs, inserted in the same order, and
+        # a failed step leaves the matching as it was.
         rng = random.Random(29)
         for _ in range(200):
             g = random_bipartite(rng, rng.randint(1, 9), rng.randint(1, 9), rng.random())
             adj = g.adjacency()
             lefts = rng.sample(range(g.left.size), rng.randint(0, g.left.size))
             expected = reference_matching(adj, lefts)
-            if len(expected) < len(lefts):
-                assert saturating_matching(adj, lefts) is None
+            match: dict[int, int] = {}
+            steps = [augment(adj, match, s) for s in lefts]
+            assert sum(steps) == len(expected)
+            assert list(match.items()) == list(expected.items())
             # The lefts the reference matched, in order, are saturable.
             matched = set(expected.values())
-            lefts = [s for s in lefts if s in matched]
-            expected = reference_matching(adj, lefts)
-            assert len(expected) == len(lefts)
-            assert list(saturating_matching(adj, lefts).items()) == list(expected.items())
+            assert [s for s, ok in zip(lefts, steps) if ok] == [s for s in lefts if s in matched]
 
     def test_augmenting_path_longer_than_recursion_limit(self):
         # Left i sees rights i and i+1; the last left sees right 0 only, so
@@ -249,8 +251,11 @@ class TestCombinators:
             rng.shuffle(masks)
             for mask in masks:
                 assert flat.indep_mask(mask) == fold.indep_mask(mask)
-            assert flat.full_rank == fold.full_rank
+            # Rank through the flat node sums the part ranks instead of
+            # querying the parts' independence, so the tapes are compared
+            # over the independence sweep only.
             assert flat_tape == fold_tape
+            assert flat.full_rank == fold.full_rank
             for (_, a), (_, b) in zip(flat_logs, fold_logs):
                 assert a.masks() == b.masks()
 
@@ -451,3 +456,70 @@ class TestDescriptorRoundTrip:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             matroid_from_descriptor({"kind": "mystery"})
+
+
+def assert_rank_matches_reference(m, rng, samples=40):
+    n = m.ground.size
+    masks = [0, m.ground.full_mask] + [rng.getrandbits(n) for _ in range(samples)]
+    for mask in masks:
+        assert m.rank_mask(mask) == reference_rank(m, mask), (m.descriptor, mask)
+
+
+class TestNativeRank:
+    """Every closed-form rank equals the greedy scan of its own oracle."""
+
+    @pytest.mark.parametrize("kind", MATROID_KINDS)
+    def test_each_constructor(self, kind):
+        rng = random.Random(MATROID_KINDS.index(kind))
+        for _ in range(25):
+            m = random_matroid(rng, rng.randint(2, 10), kind)
+            # A closed form of its own, not the greedy fallback.
+            assert getattr(m.rank_mask, "__self__", None) is not m
+            assert_rank_matches_reference(m, rng)
+
+    def test_parallel_copies_and_relabel(self):
+        rng = random.Random(67)
+        for _ in range(25):
+            m = random_matroid(rng, rng.randint(1, 6))
+            assert_rank_matches_reference(parallel_copies(m, rng.randint(1, 3)), rng)
+            perm = list(range(m.ground.size))
+            rng.shuffle(perm)
+            once = relabel(m, perm)
+            rng.shuffle(perm)
+            assert_rank_matches_reference(once, rng)
+            assert_rank_matches_reference(relabel(once, perm), rng)
+
+    def test_dual_and_truncation_nest(self):
+        rng = random.Random(71)
+        for _ in range(25):
+            m = random_matroid(rng, rng.randint(0, 9))
+            k = rng.randint(0, m.ground.size)
+            for nested in (dual(dual(m)), dual(truncate(m, k)), truncate(dual(m), k)):
+                assert_rank_matches_reference(nested, rng)
+
+    def test_direct_sum_with_empty_parts(self):
+        rng = random.Random(73)
+        empty = [free_matroid(GroundSet(0)), uniform_matroid(GroundSet(0), 0)]
+        for _ in range(25):
+            parts = [random_matroid(rng, rng.randint(0, 4)) for _ in range(rng.randint(1, 4))]
+            parts += [rng.choice(empty) for _ in range(rng.randint(1, 3))]
+            rng.shuffle(parts)
+            m = direct_sum_all(parts)
+            assert_rank_matches_reference(m, rng)
+            assert m.full_rank == sum(p.full_rank for p in parts)
+
+    def test_rank_zero_matroids(self):
+        rng = random.Random(79)
+        g = GroundSet(5)
+        loops = [
+            uniform_matroid(g, 0),
+            partition_matroid(PartitionOfGroundSet.build(g, [[0, 1], [2, 3, 4]]), [0, 0]),
+            graphic_matroid(MultiGraph.build(2, [(0, 0)] * 5)),
+            transversal_matroid(BipartiteGraph.build(5, 2, [])),
+            linear_matroid(Matrix.build(gf(3), [[0] * 5])),
+            dual(free_matroid(g)),
+            truncate(free_matroid(g), 0),
+        ]
+        for m in loops:
+            assert m.full_rank == 0
+            assert_rank_matches_reference(m, rng)

@@ -14,7 +14,6 @@ from basepack.core import (
     enumerate_bases,
     is_basis,
     is_independent,
-    memoized,
     rank,
     with_query_log,
     Matroid,
@@ -288,21 +287,12 @@ class TestQueryLog:
         assert log.masks() == (0b101, 0b001, 0b111)
 
 
-def test_memoized_preserves_answers():
-    rng = random.Random(2)
-    m = random_matroid(rng, 6)
-    fast = memoized(m)
-    for mask in range(1 << 6):
-        assert fast.indep_mask(mask) == m.indep_mask(mask)
-    for mask in range(1 << 6):  # cached second pass
-        assert fast.indep_mask(mask) == m.indep_mask(mask)
-
-
 def test_with_labels_keeps_oracle_and_descriptor():
     m = uniform_matroid(GroundSet(3), 2)
     named = m.with_labels(["x", "y", "z"])
     assert named.ground.labels == ("x", "y", "z")
     assert named.indep_mask is m.indep_mask
+    assert named.rank_mask is m.rank_mask
     assert named.descriptor is m.descriptor and named.kind == m.kind
     assert m.ground.labels is None
     with pytest.raises(ValueError):
@@ -320,3 +310,16 @@ def test_query_log_answers_repeats_without_the_oracle():
     for mask in (0b011, 0b001, 0b011, 0b001):
         wrapped.indep_mask(mask)
     assert calls == [0b011, 0b001] and log.masks() == (0b011, 0b001)
+
+
+def test_logged_rank_is_a_greedy_scan_through_the_log():
+    # The native rank is not forwarded, so a rank query spends (and
+    # records) independence queries.
+    rng = random.Random(23)
+    for _ in range(20):
+        n = rng.randint(1, 8)
+        m = random_matroid(rng, n)
+        wrapped, log = with_query_log(m)
+        mask = rng.randrange(1, 1 << n)
+        assert wrapped.rank_mask(mask) == m.rank_mask(mask)
+        assert log.count > 0

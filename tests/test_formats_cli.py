@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import pathlib
 import random
 import time
@@ -712,6 +713,35 @@ class TestCliPipelines:
         assert code == 3 and out == ""
         assert "exceeds cap 8" in err
         assert time.perf_counter() - started < 2
+
+    @pytest.mark.parametrize("solver", ["size-order", "pair-avoider"])
+    def test_adversary_sweep_solver_above_cap_is_exit_three(self, solver, monkeypatch, capsys):
+        started = time.perf_counter()
+        code, out, err = run_cli(
+            ["adversary", "--t", "6", "--solver", solver], monkeypatch=monkeypatch, capsys=capsys
+        )
+        assert code == 3 and out == ""
+        assert "exceeds cap 5" in err
+        assert time.perf_counter() - started < 1
+
+    @pytest.mark.parametrize("solver, t, queries, index", [
+        ("size-order", 3, 4096, "1586"),
+        ("size-order", 4, 65536, "26333"),
+        ("pair-avoider", 3, 3172, "null"),
+        ("pair-avoider", 4, 52666, "null"),
+    ])
+    def test_adversary_sweep_reports_are_pinned(self, solver, t, queries, index,
+                                                monkeypatch, capsys):
+        # The distinguishing index pins the query order, size class by size class.
+        code, out, _ = run_cli(
+            ["adversary", "--t", str(t), "--solver", solver], monkeypatch=monkeypatch, capsys=capsys
+        )
+        assert code == 0
+        assert out.strip() == (
+            f'{{"schema": "adversary-report/1", "t": {t}, "hidden": "relaxed", '
+            f'"total_queries": {queries}, "distinguishing_query_index": {index}, '
+            f'"agreement_verified": true, "candidate_hidden_sets": {math.comb(2 * t, t)}}}'
+        )
 
     @pytest.mark.parametrize("descriptor", [
         {"kind": "free", "size": 2.5},

@@ -6,6 +6,8 @@ The final instance has one partition matroid, eight hundred elements,
 and still carries the original assignment's structure.
 """
 
+import random
+
 from basepack.certificates import AssignmentCertificate, ModularCertificate
 from basepack.instances import CnfFormula
 from basepack.reductions import (
@@ -20,6 +22,8 @@ from basepack.reductions import (
     to_partition_matroid_form,
 )
 from basepack.solvers import verify_certificate
+
+from helpers import reference_rank
 
 FORMULA = CnfFormula.normalize(
     4,
@@ -56,3 +60,14 @@ def test_certificate_survives_the_whole_chain():
     back_trees = ModularCertificate(back_modular.first_modules, back_modular.classes)
     assignment = pull_assignment_from_trees(sat, back_trees)
     assert assignment.values == WITNESS.values
+
+
+def test_r5_rank_matches_greedy_reference():
+    sat = naesat_to_modular_trees(FORMULA)
+    embed = modular_to_common_bases(sat.instance.to_modular_instance())
+    normal = to_partition_matroid_form(embed.instance)
+    rng = random.Random(5)
+    for m in (normal.instance.m1, normal.instance.m2):
+        assert m.full_rank == 400
+        for mask in [m.ground.full_mask] + [rng.getrandbits(800) for _ in range(2)]:
+            assert m.rank_mask(mask) == reference_rank(m, mask)
