@@ -6,13 +6,27 @@ a maximum common independent set; partition decides whether the ground
 set splits into k independent sets (by reducing to intersection of a
 k-fold copy sum with a partition matroid, so one augmentation engine
 drives both).
+
+The engine is Cunningham's (SIAM J. Comput. 1986).  A greedy scan in
+index order first keeps every element that stays independent in both
+matroids.  Then each phase finds the sources and sinks of the exchange
+graph once, layers it by breadth-first distance from the sources up to
+the first layer holding a sink, and augments along as many shortest
+paths as a depth-first walk through consecutive layers finds.  The walk
+tests every exchange arc against the current set, and a vertex it
+cannot extend, or that lies on an augmented path, is dead for the rest
+of the phase.  Shortest path lengths never decrease (Cunningham's
+lemma), so every path found is shortest, and the phases end when no
+sink can be reached.  Elements are always scanned in ascending index
+order, so results are deterministic.  Partition first refutes by
+counting: more than k * r(E) elements never split into k independent
+sets.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import ElementSet, GroundSet, Matroid, UniverseMismatch
 from .constructions import (
@@ -25,66 +39,114 @@ from .constructions import (
 def max_common_independent(m1: Matroid, m2: Matroid) -> ElementSet:
     """A maximum-cardinality common independent set of two matroids.
 
-    Augments along shortest source-sink paths in the exchange graph.
-    Tie-breaking is deterministic: breadth-first search explores elements
-    in ascending index order, so runs are reproducible.
+    Starts from the greedy common independent set in index order, then
+    augments in phases along shortest source-sink paths of the exchange
+    graph, all paths of one length per phase.  Ties break by ascending
+    element index, so runs are reproducible.
     """
     if m1.ground.size != m2.ground.size:
         raise UniverseMismatch("matroids must share a ground set")
     n = m1.ground.size
     i1, i2 = m1.indep_mask, m2.indep_mask
     current = 0
-
+    for e in range(n):
+        grown = current | 1 << e
+        if i1(grown) and i2(grown):
+            current = grown
     while True:
-        outside = [e for e in range(n) if not current >> e & 1]
-        inside = [e for e in range(n) if current >> e & 1]
-        sources = [x for x in outside if i1(current | 1 << x)]
-        sinks = set(x for x in outside if i2(current | 1 << x))
-        if not sources or not sinks:
-            break
+        layers = _distance_layers(i1, i2, current, n)
+        if layers is None:
+            return ElementSet.from_mask(m1.ground, current)
+        current = _augment_phase(i1, i2, current, layers)
 
-        # Arcs: y -> x (y inside, x outside) when current - y + x is
-        # independent in m1; x -> y when it is independent in m2.
-        parent: dict[int, int] = {}
-        queue = deque()
-        for x in sources:
-            parent[x] = -1
-            queue.append(x)
-        target = -1
-        for x in sources:
-            if x in sinks:
-                target = x
-                break
-        while target < 0 and queue:
-            v = queue.popleft()
-            if not current >> v & 1:
-                neighbors = [
-                    y for y in inside
-                    if y not in parent and i2((current ^ 1 << y) | 1 << v)
-                ]
-            else:
-                neighbors = [
-                    x for x in outside
-                    if x not in parent and i1((current ^ 1 << v) | 1 << x)
-                ]
-            for w in neighbors:
-                parent[w] = v
-                if w in sinks:
-                    target = w
-                    queue.clear()
+
+# Arcs of the exchange graph of I: x -> y (x outside, y inside) when
+# I - y + x is independent in m2, y -> x when it is independent in m1.
+# Paths run from a source (I + x independent in m1) to a sink (I + x
+# independent in m2), so even layers hold outside elements, odd layers
+# inside ones.
+
+
+def _distance_layers(
+    i1: Callable[[int], bool], i2: Callable[[int], bool], current: int, n: int
+) -> Optional[list[list[int]]]:
+    """Breadth-first layers from the sources up to the first layer holding
+    a sink, which keeps only its sinks; None when no sink is reachable."""
+    outside = [e for e in range(n) if not current >> e & 1]
+    inside = [e for e in range(n) if current >> e & 1]
+    sinks = {x for x in outside if i2(current | 1 << x)}
+    if not sinks:
+        return None
+    layer = [x for x in outside if i1(current | 1 << x)]
+    seen = set(layer)
+    layers = []
+    while layer:
+        hits = [x for x in layer if x in sinks]
+        if hits:
+            layers.append(hits)
+            return layers
+        layers.append(layer)
+        if len(layers) % 2:
+            nxt = [
+                y for y in inside
+                if y not in seen and any(i2((current ^ 1 << y) | 1 << x) for x in layer)
+            ]
+        else:
+            nxt = [
+                x for x in outside
+                if x not in seen and any(i1((current ^ 1 << y) | 1 << x) for y in layer)
+            ]
+        seen.update(nxt)
+        layer = nxt
+    return None
+
+
+def _augment_phase(
+    i1: Callable[[int], bool], i2: Callable[[int], bool], current: int, layers: list[list[int]]
+) -> int:
+    """Augment ``current`` along vertex-disjoint source-sink paths that take
+    one vertex from each layer in turn; returns the augmented set."""
+    d = len(layers) - 1
+    dead = 0
+    for source in layers[0]:
+        if not i1(current | 1 << source):
+            continue
+        path = [source]
+        scanned = [0]  # per path vertex: candidates of the next layer tried
+        while path:
+            j = len(path) - 1
+            v = path[j]
+            w = -1
+            if j == d:
+                if i2(current | 1 << v):
+                    for u in path:
+                        current ^= 1 << u
+                        dead |= 1 << u
                     break
-                queue.append(w)
-        if target < 0:
-            break
-        path = []
-        v = target
-        while v != -1:
-            path.append(v)
-            v = parent[v]
-        for v in path:
-            current ^= 1 << v
-
-    return ElementSet.from_mask(m1.ground, current)
+            else:
+                nxt = layers[j + 1]
+                k = scanned[j]
+                while k < len(nxt):
+                    u = nxt[k]
+                    k += 1
+                    if dead >> u & 1:
+                        continue
+                    if j % 2:
+                        arc = i1((current ^ 1 << v) | 1 << u)
+                    else:
+                        arc = i2((current ^ 1 << u) | 1 << v)
+                    if arc:
+                        w = u
+                        break
+                scanned[j] = k
+            if w < 0:
+                dead |= 1 << v
+                path.pop()
+                scanned.pop()
+            else:
+                path.append(w)
+                scanned.append(0)
+    return current
 
 
 @dataclass(frozen=True)
@@ -98,16 +160,21 @@ class PartitionVerdict:
 def partition_into_independent(matroid: Matroid, k: int) -> PartitionVerdict:
     """Partition the ground set into at most ``k`` independent sets, or report impossible.
 
-    Reduction: spread the ground set over k disjoint copies carrying the
-    same matroid, and intersect with the partition matroid allowing one
-    copy per element.  A common independent set of full size assigns each
-    element a class.
+    More than k * r(E) elements never split into k independent sets (the
+    easy direction of Edmonds 1965), so that case is refuted with one
+    rank call and no augmentation.  Otherwise, reduction: spread the
+    ground set over k disjoint copies carrying the same matroid, and
+    intersect with the partition matroid allowing one copy per element,
+    through the one engine of :func:`max_common_independent`.  A common
+    independent set of full size assigns each element a class.
     """
     if k < 1:
         raise ValueError("k must be positive")
     n = matroid.ground.size
     if n == 0:
         return PartitionVerdict(True, tuple())
+    if n > k * matroid.full_rank:
+        return PartitionVerdict(False)
     copies = direct_sum_all([matroid] * k)
     universe = GroundSet(n * k)
     blocks = [[e + c * n for c in range(k)] for e in range(n)]

@@ -3,7 +3,9 @@
 The naive functions here deliberately avoid the library's algorithmic
 paths (no greedy rank, no exchange graphs, no pruned sweeps): they
 enumerate, so the fast implementations have something independent to be
-checked against.
+checked against.  Beyond enumeration sizes, ``check_min_max_certificate``
+certifies an intersection answer by the min-max theorem, with a
+reachability search of its own and no call into the engine.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from basepack.core import GroundSet, Matroid, bits_of, mask_of
+from basepack.core import ElementSet, GroundSet, Matroid, bits_of, mask_of, rank
 from basepack.constructions import (
     HyperplaneFamily,
     PartitionOfGroundSet,
@@ -70,6 +72,41 @@ def naive_max_common(m1: Matroid, m2: Matroid) -> int:
         if m1.indep_mask(mask) and m2.indep_mask(mask):
             best = max(best, mask.bit_count())
     return best
+
+
+def check_min_max_certificate(m1: Matroid, m2: Matroid, mask: int) -> None:
+    """Certify ``mask`` as a maximum common independent set without the engine.
+
+    By the matroid intersection theorem, a common independent set I is
+    maximum iff some A has r1(A) + r2(E - A) = |I|.  A here is the set of
+    elements that reach a sink (I + x independent in m2) in the exchange
+    graph of I, arcs x -> y when I - y + x is independent in m2 and
+    y -> x when it is independent in m1 (x outside I, y inside), found by
+    a backward breadth-first search of its own.  No source (I + x
+    independent in m1) may be reached, and the ranks come from the public
+    ``rank``.  Raises AssertionError on the first failure.
+    """
+    i1, i2 = m1.indep_mask, m2.indep_mask
+    if not (i1(mask) and i2(mask)):
+        raise AssertionError("not independent in both matroids")
+    n = m1.ground.size
+    inside = [e for e in range(n) if mask >> e & 1]
+    outside = [e for e in range(n) if not mask >> e & 1]
+    reached = [x for x in outside if i2(mask | 1 << x)]
+    seen = set(reached)
+    for v in reached:  # grows while it is walked: breadth-first order
+        if not mask >> v & 1 and i1(mask | 1 << v):
+            raise AssertionError(f"source {v} reaches a sink: I is not maximum")
+        if mask >> v & 1:
+            preds = [x for x in outside if x not in seen and i2((mask ^ 1 << v) | 1 << x)]
+        else:
+            preds = [y for y in inside if y not in seen and i1((mask ^ 1 << y) | 1 << v)]
+        seen.update(preds)
+        reached.extend(preds)
+    a = ElementSet(m1.ground, seen)
+    bound = rank(m1, a) + rank(m2, a.complement())
+    if bound != len(inside):
+        raise AssertionError(f"r1(A) + r2(E - A) = {bound} != |I| = {len(inside)}")
 
 
 def naive_partition_feasible(matroid: Matroid, k: int) -> bool:

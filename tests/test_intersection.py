@@ -1,17 +1,23 @@
 """Matroid intersection and partition against brute-force references."""
 
+import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from basepack.core import GroundSet, UniverseMismatch
+from basepack.core import GroundSet, Matroid, UniverseMismatch
 from basepack.constructions import (
     PartitionOfGroundSet,
+    direct_sum_all,
     free_matroid,
     graphic_matroid,
     partition_matroid,
+    transversal_matroid,
     uniform_matroid,
 )
+from basepack.formats import parse_dimacs
 from basepack.graphs import MultiGraph
 from basepack.intersection import (
     common_bases_necessary_check,
@@ -19,8 +25,17 @@ from basepack.intersection import (
     partition_into_independent,
 )
 from basepack.gadget import default_gadget
+from basepack.reductions import modular_to_common_bases, naesat_to_modular_trees
 
-from helpers import naive_max_common, naive_partition_feasible, random_matroid
+from helpers import (
+    check_min_max_certificate,
+    naive_max_common,
+    naive_partition_feasible,
+    random_bipartite,
+    random_matroid,
+    random_multigraph,
+    random_partition,
+)
 
 TRIANGLE = MultiGraph.build(3, [(0, 1), (1, 2), (2, 0)])
 
@@ -170,3 +185,91 @@ class TestNecessaryCheck:
                 m1 = random_matroid(rng, n)
                 m2 = random_matroid(rng, n)
                 assert len(max_common_independent(m1, m2)) == naive_max_common(m1, m2)
+
+
+def counted(matroid: Matroid) -> tuple[Matroid, set[int]]:
+    """The same oracles, with every independence query's mask recorded once."""
+    seen: set[int] = set()
+    inner = matroid.indep_mask
+
+    def indep(mask: int) -> bool:
+        seen.add(mask)
+        return inner(mask)
+
+    return Matroid(matroid.ground, matroid.kind, indep, matroid.descriptor, matroid.rank_mask), seen
+
+
+def test_r1_instance_call_count_is_pinned():
+    # The 400-element r1 instance of the golden formula: 316,570 distinct
+    # queries with one breadth-first search per augmentation, under a
+    # tenth of that with the warm start and the phases.
+    text = (pathlib.Path(__file__).resolve().parent.parent / "golden" / "three_clause.cnf").read_text()
+    sat = naesat_to_modular_trees(parse_dimacs(text))
+    inst = modular_to_common_bases(sat.instance.to_modular_instance()).instance
+    assert inst.ground.size == 400
+    m1, seen1 = counted(inst.m1)
+    m2, seen2 = counted(inst.m2)
+    got = max_common_independent(m1, m2)
+    assert len(got) == 200
+    assert len(seen1) + len(seen2) <= 31_657
+    assert inst.m1.is_independent(got) and inst.m2.is_independent(got)
+
+
+class TestCountingRefutation:
+    def test_more_than_k_rank_elements_costs_no_independence_query(self):
+        # 49 edges on 17 vertices against k * r = 3 * 16 = 48.
+        rng = random.Random(131)
+        edges = [(v, v + 1) for v in range(16)]
+        edges += [tuple(rng.sample(range(17), 2)) for _ in range(33)]
+        m, seen = counted(graphic_matroid(MultiGraph.build(17, edges)))
+        assert not partition_into_independent(m, 3).feasible
+        assert seen == set()
+
+    def test_exactly_k_rank_elements_still_augments(self):
+        # A tripled path on four vertices: 9 edges against 3 * 3, feasible.
+        edges = [(0, 1), (1, 2), (2, 3)] * 3
+        m, seen = counted(graphic_matroid(MultiGraph.build(4, edges)))
+        verdict = partition_into_independent(m, 3)
+        assert verdict.feasible and len(verdict.classes) == 3
+        assert seen
+
+
+STRUCTURED_KINDS = ("graphic", "transversal", "partition", "gadget")
+
+
+def structured_side(rng: random.Random, kind: str, n: int) -> Matroid:
+    if kind == "graphic":
+        return graphic_matroid(random_multigraph(rng, n))
+    if kind == "transversal":
+        right = rng.randint(n // 4, n)
+        return transversal_matroid(random_bipartite(rng, n, right, 3 / right))
+    if kind == "partition":
+        part = random_partition(rng, GroundSet(n), rng.randint(1, 6))
+        return partition_matroid(part, [rng.randint(0, len(b)) for b in part.blocks])
+    # A direct sum of gadget parts: either graph of 1- or 2-block gadgets.
+    parts = []
+    left = n // 9
+    while left:
+        ell = rng.randint(1, min(2, left))
+        pair = default_gadget(ell)
+        parts.append(rng.choice([pair.first_matroid, pair.second_matroid]))
+        left -= ell
+    return direct_sum_all(parts)
+
+
+@st.composite
+def structured_pairs(draw):
+    kinds = (draw(st.sampled_from(STRUCTURED_KINDS)), draw(st.sampled_from(STRUCTURED_KINDS)))
+    if "gadget" in kinds:
+        n = 9 * draw(st.integers(3, 6))
+    else:
+        n = draw(st.integers(20, 60))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return tuple(structured_side(rng, kind, n) for kind in kinds)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(structured_pairs())
+def test_min_max_certificate_on_structured_pairs(pair):
+    m1, m2 = pair
+    check_min_max_certificate(m1, m2, max_common_independent(m1, m2).mask)
