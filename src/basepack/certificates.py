@@ -46,11 +46,13 @@ def _pairs(value, what: str) -> frozenset[tuple[int, int]]:
 class PartitionCertificate:
     """A partition of a ground set into classes (common bases, usually two)."""
 
+    SCHEMA = "certificate/common-bases/1"
+
     classes: tuple[ElementSet, ...]
 
     def to_json(self) -> dict:
         return {
-            "schema": "certificate/common-bases/1",
+            "schema": self.SCHEMA,
             "classes": [_class_json(c) for c in self.classes],
         }
 
@@ -72,12 +74,14 @@ class ModularCertificate:
     class; the explicit element sets are carried for verification.
     """
 
+    SCHEMA = "certificate/modular-bases/1"
+
     first_modules: tuple[int, ...]
     classes: tuple[ElementSet, ElementSet]
 
     def to_json(self) -> dict:
         return {
-            "schema": "certificate/modular-bases/1",
+            "schema": self.SCHEMA,
             "first_modules": list(self.first_modules),
             "classes": [_class_json(c) for c in self.classes],
         }
@@ -107,11 +111,13 @@ class ModularCertificate:
 class AssignmentCertificate:
     """A truth assignment, indexed by variable."""
 
+    SCHEMA = "certificate/naesat/1"
+
     values: tuple[bool, ...]
 
     def to_json(self) -> dict:
         return {
-            "schema": "certificate/naesat/1",
+            "schema": self.SCHEMA,
             "assignment": {f"x{i + 1}": v for i, v in enumerate(self.values)},
         }
 
@@ -130,11 +136,13 @@ class AssignmentCertificate:
 class ArcSetCertificate:
     """A set of arcs of a digraph (a perfect even factor)."""
 
+    SCHEMA = "certificate/even-factor/1"
+
     arcs: frozenset[tuple[int, int]]
 
     def to_json(self) -> dict:
         return {
-            "schema": "certificate/even-factor/1",
+            "schema": self.SCHEMA,
             "arcs": sorted([u, v] for u, v in self.arcs),
         }
 
@@ -147,11 +155,13 @@ class ArcSetCertificate:
 class EdgeSetCertificate:
     """A set of edges of a bipartite graph (a 2-factor)."""
 
+    SCHEMA = "certificate/mod4-2factor/1"
+
     edges: frozenset[tuple[int, int]]
 
     def to_json(self) -> dict:
         return {
-            "schema": "certificate/mod4-2factor/1",
+            "schema": self.SCHEMA,
             "edges": sorted([s, t] for s, t in self.edges),
         }
 

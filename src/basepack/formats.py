@@ -184,9 +184,10 @@ def dump_instance(instance: Instance, provenance: Optional[dict] = None) -> dict
 
 def _reject_floats(data) -> None:
     """Counts and indices are integers and rationals are "num/den" strings,
-    so a float anywhere in instance or descriptor JSON is malformed."""
-    if isinstance(data, float):
-        raise FormatError(f"JSON holds the non-integer number {data!r}")
+    so a float or a boolean anywhere in instance or descriptor JSON is
+    malformed (Python would read ``true`` as the integer 1)."""
+    if isinstance(data, (float, bool)):
+        raise FormatError(f"JSON holds the non-integer value {json.dumps(data)}")
     if isinstance(data, dict):
         data = list(data.values())
     if isinstance(data, list):

@@ -134,33 +134,37 @@ def solve_naesat(
 ) -> Optional[AssignmentCertificate]:
     """Find an assignment leaving every clause with a true and a false literal.
 
-    Sweeps assignments with the first variable pinned false: an
-    assignment works exactly when its complement does, so half the
-    space decides.
+    Splits the variables into a false and a true class with
+    :func:`split_blocks`, x1 first and then x_n down to x2; pinning x1 to
+    the false class is the complement symmetry (an assignment works
+    exactly when its complement does).  Variable x_i sits at search
+    position n + 1 - i and x1 at 0, so the variable just placed is the
+    top bit of the grown class, and a clause is checked the moment its
+    last variable is placed.  The first answer is the smallest assignment in
+    binary, x_n most significant, with x1 false.
     """
     n = formula.num_vars
     if n > cap:
         raise ResourceCapExceeded(f"{n} variables exceeds cap {cap}")
-    pos_masks = []
-    neg_masks = []
+    position = [n - v if v else 0 for v in range(n)]
+    closing: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for clause in formula.clauses:
-        pos_masks.append(mask_of(v for v, positive in clause if positive))
-        neg_masks.append(mask_of(v for v, positive in clause if not positive))
-    for half in range(1 << max(0, n - 1)):
-        assignment = half << 1
-        ok = True
-        for pos, neg in zip(pos_masks, neg_masks):
-            if assignment & pos == pos and assignment & neg == 0:
-                ok = False  # every literal true
-                break
-            if assignment & pos == 0 and assignment & neg == neg:
-                ok = False  # every literal false
-                break
-        if ok:
-            return AssignmentCertificate(
-                tuple(bool(assignment >> v & 1) for v in range(n))
-            )
-    return None
+        lits = mask_of(position[v] for v, _ in clause)
+        neg = mask_of(position[v] for v, positive in clause if not positive)
+        closing[lits.bit_length() - 1].append((lits, neg))
+
+    def not_all_equal(grown: int) -> bool:
+        # (grown ^ neg) & lits are the literals made true when ``grown``
+        # is the true class; by symmetry either class may be read as true.
+        for lits, neg in closing[grown.bit_length() - 1]:
+            if (grown ^ neg) & lits in (0, lits):
+                return False
+        return True
+
+    classes = next(split_blocks([1 << p for p in range(n)], 2, n, not_all_equal), None)
+    if classes is None:
+        return None
+    return AssignmentCertificate(tuple(bool(classes[1] >> p & 1) for p in position))
 
 
 def solve_perfect_even_factor(
@@ -168,15 +172,15 @@ def solve_perfect_even_factor(
 ) -> Optional[ArcSetCertificate]:
     """Find arcs giving every vertex in- and out-degree 1 with all cycles even.
 
-    Backtracks over successor choices in vertex order, maintaining the
-    open paths of the partial successor function; a cycle is checked for
-    even length the moment it closes, which prunes odd cycles early.
+    Backtracks over successor choices in vertex order, heads ascending,
+    keeping only the predecessor of each vertex.  Vertex v always ends a
+    path of placed arcs, found by following predecessors back from v; a
+    head that already has a predecessor is skipped, and so is the start
+    of v's own path when the arc to it would close an odd cycle.
     """
     n = digraph.vertex_count
     if n > cap:
         raise ResourceCapExceeded(f"{n} vertices exceeds cap {cap}")
-    if n == 0:
-        return ArcSetCertificate(frozenset())
     out = digraph.out_neighbors()
     indeg = [0] * n
     for _, v in set(digraph.arcs):
@@ -184,49 +188,26 @@ def solve_perfect_even_factor(
     if any(not neighbors for neighbors in out) or any(d == 0 for d in indeg):
         return None
 
-    succ = [-1] * n
-    has_pred = [False] * n
-    path_start = list(range(n))  # valid at path ends
-    path_end = list(range(n))  # valid at path starts
-    path_len = [1] * n  # valid at path starts, counts vertices
+    pred = [-1] * n
 
     def place(v: int) -> bool:
-        while v < n and succ[v] != -1:
-            v += 1
         if v == n:
             return True
-        start = path_start[v]
+        start, arcs = v, 1
+        while pred[start] != -1:
+            start, arcs = pred[start], arcs + 1
         for w in out[v]:
-            if w == start:
-                if path_len[start] % 2 != 0 or has_pred[w]:
-                    continue
-                succ[v] = w
-                has_pred[w] = True
-                if place(v + 1):
-                    return True
-                succ[v] = -1
-                has_pred[w] = False
-            elif not has_pred[w]:
-                # w starts another path; merging cannot create a cycle.
-                e2 = path_end[w]
-                old_len = path_len[start]
-                succ[v] = w
-                has_pred[w] = True
-                path_start[e2] = start
-                path_end[start] = e2
-                path_len[start] = old_len + path_len[w]
-                if place(v + 1):
-                    return True
-                succ[v] = -1
-                has_pred[w] = False
-                path_start[e2] = w
-                path_end[start] = v
-                path_len[start] = old_len
+            if pred[w] != -1 or w == start and arcs % 2:
+                continue
+            pred[w] = v
+            if place(v + 1):
+                return True
+            pred[w] = -1
         return False
 
     if not place(0):
         return None
-    return ArcSetCertificate(frozenset((v, succ[v]) for v in range(n)))
+    return ArcSetCertificate(frozenset((v, w) for w, v in enumerate(pred)))
 
 
 def solve_mod4_two_factor(
@@ -453,8 +434,12 @@ def lookup(problem: str) -> Problem:
 
 
 def load_certificate(problem: str, data: dict, instance) -> object:
-    """Read a certificate's JSON; set-valued ones over the instance's ground set."""
-    read = lookup(problem).certificate.from_json
+    """Read a certificate's JSON, which must carry the schema of the problem's
+    certificate class; set-valued ones are read over the instance's ground set."""
+    certificate = lookup(problem).certificate
+    if not isinstance(data, dict) or data.get("schema") != certificate.SCHEMA:
+        raise FormatError(f"bad certificate payload: schema must be {certificate.SCHEMA!r}")
+    read = certificate.from_json
     try:
         return read(data, instance.ground) if hasattr(instance, "ground") else read(data)
     except (KeyError, ValueError, TypeError) as exc:

@@ -194,11 +194,25 @@ def naive_nae_satisfiable(formula) -> bool:
     return False
 
 
-def naive_even_factor_feasible(digraph: Digraph) -> bool:
-    """Try every vertex permutation supported by the arcs."""
+def first_nae_assignment(formula) -> tuple[bool, ...] | None:
+    """The first not-all-equal assignment with x1 false, counting in binary
+    with x1 the lowest bit: the answer the solver must give."""
+    n = formula.num_vars
+    for bits in range(0, 1 << n, 2):
+        assignment = tuple(bool(bits >> v & 1) for v in range(n))
+        if all(
+            len({assignment[v] == positive for v, positive in clause}) == 2
+            for clause in formula.clauses
+        ):
+            return assignment
+    return None
+
+
+def first_even_factor(digraph: Digraph) -> tuple[int, ...] | None:
+    """The first successor tuple, in lexicographic order (vertex 0 most
+    significant, heads ascending), that is a permutation supported by the
+    arcs with only even cycles: the answer the solver must give."""
     n = digraph.vertex_count
-    if n == 0:
-        return True
     arcs = digraph.arc_set()
     for perm in itertools.permutations(range(n)):
         if any((v, perm[v]) not in arcs for v in range(n)):
@@ -218,8 +232,13 @@ def naive_even_factor_feasible(digraph: Digraph) -> bool:
                 ok = False
                 break
         if ok:
-            return True
-    return False
+            return perm
+    return None
+
+
+def naive_even_factor_feasible(digraph: Digraph) -> bool:
+    """Try every vertex permutation supported by the arcs."""
+    return first_even_factor(digraph) is not None
 
 
 def cycle_lengths(n_left: int, n_right: int, edges) -> list[int]:

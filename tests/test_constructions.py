@@ -205,6 +205,27 @@ class TestLinear:
         )
         assert m.indep_mask(0b11)
 
+    def test_scaled_signed_incidence_over_q_is_graphic(self):
+        # Each non-loop column is +c at one end and -c at the other, with a
+        # random nonzero rational c per column, so elimination over Q
+        # subtracts rational multiples of rows.
+        rng = random.Random(107)
+        checked = 0
+        for _ in range(40):
+            graph = random_multigraph(rng, rng.randint(1, 9))
+            entries = [[Fraction(0)] * graph.edge_count for _ in range(graph.vertex_count)]
+            for j, (u, v) in enumerate(graph.endpoints()):
+                if u != v:
+                    scale = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+                    entries[u][j], entries[v][j] = scale, -scale
+            linear = linear_matroid(Matrix.build("q", entries))
+            graphic = graphic_matroid(graph)
+            for mask in range(1 << graph.edge_count):
+                assert linear.indep_mask(mask) == graphic.indep_mask(mask)
+                assert linear.rank_mask(mask) == graphic.rank_mask(mask)
+            checked += 1 << graph.edge_count
+        assert checked > 1000
+
     def test_zero_column_is_loop(self):
         m = linear_matroid(Matrix.build(gf(2), [[0, 1]]))
         assert not m.indep_mask(0b01)

@@ -44,6 +44,14 @@ TREES_JSON = _json_text(naesat_to_modular_trees(parse_dimacs("p cnf 2 1\n1 2 0\n
 DIGRAPH_JSON = _json_text(parse_arc_list((GOLDEN / "two_cycle.digraph").read_text()))
 BIPARTITE_JSON = _json_text(parse_bipartite((GOLDEN / "eight_cycle.bipartite").read_text()))
 
+UNIFORM_PAIR_JSON = json.dumps({
+    "schema": "common-bases-instance/1",
+    "m1": {"kind": "uniform", "size": 4, "r": 2},
+    "m2": {"kind": "uniform", "size": 4, "r": 2},
+    "k": 2,
+})
+
+
 # Each problem and rule fed a well-formed instance of another schema.
 WRONG_SCHEMA = {
     "solve common-bases": (["solve", "--problem", "common-bases"], TREES_JSON),
@@ -215,6 +223,22 @@ class TestParserRobustness:
         with pytest.raises(FormatError, match="non-integer"):
             load_instance(data)
 
+    # JSON booleans are Python ints, so each of these used to be read as
+    # 0 or 1: an arc (1, 0), a uniform U(1, 1), a common-bases k of 1.
+    @pytest.mark.parametrize("argv, text", [
+        (["solve", "--problem", "even-factor", "-"],
+         {"schema": "digraph/1", "vertices": 2, "arcs": [[0, 1], [1, False]]}),
+        (["axioms", "-"], {"kind": "uniform", "size": True, "r": True}),
+        (["solve", "--problem", "common-bases", "-"],
+         {**json.loads(UNIFORM_PAIR_JSON), "k": True}),
+    ], ids=["digraph-arc", "axioms-uniform", "common-bases-k"])
+    def test_booleans_are_not_integers(self, argv, text, monkeypatch, capsys):
+        code, out, err = run_cli(
+            argv, stdin_text=json.dumps(text), monkeypatch=monkeypatch, capsys=capsys
+        )
+        assert code == 2 and out == ""
+        assert "non-integer value true" in err or "non-integer value false" in err
+
     @pytest.mark.parametrize("labels", ["abcd", ["a", "b", "c", 4], {"a": 0}],
                              ids=["string", "non-string-item", "object"])
     def test_labels_must_be_a_list_of_strings(self, labels, monkeypatch, capsys):
@@ -254,14 +278,6 @@ class TestCertificateJson:
         assert verify_certificate("common-bases", fresh_instance, fresh_cert).ok
 
 
-UNIFORM_PAIR_JSON = json.dumps({
-    "schema": "common-bases-instance/1",
-    "m1": {"kind": "uniform", "size": 4, "r": 2},
-    "m2": {"kind": "uniform", "size": 4, "r": 2},
-    "k": 2,
-})
-
-
 def _assignment(values) -> dict:
     return {"schema": "certificate/naesat/1", "assignment": values}
 
@@ -289,6 +305,12 @@ BAD_CERTIFICATES = {
     "module-index-float": ("modular-bases", GOLDEN / "modular_u42.json", _modular_cert([0.0])),
     "class-index-string": ("common-bases", None, _partition_cert([0, "1"])),
     "class-index-float": ("common-bases", None, _partition_cert([0, 1.0])),
+    "schema-retagged": ("modular-bases", GOLDEN / "modular_u42.json",
+                        {**_modular_cert([0]), "schema": "certificate/naesat/1"}),
+    "schema-of-another-problem": ("common-bases", None, _modular_cert([0])),
+    "schema-missing": ("common-bases", None,
+                       {"classes": _partition_cert([0, 1])["classes"]}),
+    "not-an-object": ("common-bases", None, [_partition_cert([0, 1])]),
 }
 
 
@@ -577,6 +599,16 @@ class TestCliPipelines:
         data = json.loads(out)
         assert data["ok"] and data["condition_b"]["holds"]
 
+    def test_gadget_verify_cli_with_golden_labeling(self, monkeypatch, capsys):
+        code, out, _ = run_cli(
+            ["gadget", "verify", "--ell", "2", "--labeling", str(GOLDEN / "gadget_labeling.json")],
+            monkeypatch=monkeypatch,
+            capsys=capsys,
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["ok"] and data["feasible_bipartitions"] == 4**2
+
     def test_gadget_verify_cli_four_blocks(self, monkeypatch, capsys):
         code, out, _ = run_cli(
             ["gadget", "verify", "--ell", "4"], monkeypatch=monkeypatch, capsys=capsys
@@ -793,3 +825,16 @@ class TestCliPipelines:
             ["emit-dot", "-"], stdin_text=digraph_json, monkeypatch=monkeypatch, capsys=capsys
         )
         assert code == 0 and "0 -> 1" in out
+
+    def test_emit_dot_for_bipartite_instance(self, monkeypatch, capsys):
+        code, out, _ = run_cli(
+            ["emit-dot", "-"], stdin_text=BIPARTITE_JSON, monkeypatch=monkeypatch, capsys=capsys
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:2] == ["graph G {", "  rankdir=LR;"] and lines[-1] == "}"
+        graph = parse_bipartite((GOLDEN / "eight_cycle.bipartite").read_text())
+        assert sum("shape=box" in line for line in lines) == graph.left.size
+        assert {line for line in lines if " -- " in line} == {
+            f"  s{s} -- t{t};" for s, t in graph.edges
+        }

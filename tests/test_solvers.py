@@ -36,6 +36,8 @@ from basepack.solvers import (
 )
 
 from helpers import (
+    first_even_factor,
+    first_nae_assignment,
     naive_common_bases_feasible,
     naive_even_factor_feasible,
     naive_mod4_two_factor_feasible,
@@ -260,6 +262,22 @@ class TestNaesat:
         f = CnfFormula.normalize(0, [])
         assert solve_naesat(f) is not None
 
+    def test_first_answer_is_reference_order(self):
+        rng = random.Random(20191)
+        yes = 0
+        for _ in range(300):
+            n = rng.randint(0, 8)
+            clauses = []
+            for _ in range(rng.randint(0, 2 * n) if n >= 2 else 0):
+                variables = rng.sample(range(n), rng.randint(2, min(4, n)))
+                clauses.append([(v, rng.random() < 0.5) for v in variables])
+            f = CnfFormula.normalize(n, clauses)
+            cert = solve_naesat(f)
+            expected = first_nae_assignment(f)
+            assert (None if cert is None else cert.values) == expected
+            yes += expected is not None
+        assert 100 < yes < 300
+
     def test_cap(self):
         f = CnfFormula.normalize(30, [])
         with pytest.raises(ResourceCapExceeded):
@@ -284,6 +302,18 @@ class TestEvenFactor:
             assert (cert is not None) == naive_even_factor_feasible(d)
             if cert is not None:
                 assert verify_certificate("even-factor", d, cert).ok
+
+    def test_first_answer_is_reference_order(self):
+        rng = random.Random(20191)
+        yes = 0
+        for _ in range(300):
+            d = random_digraph(rng, rng.randint(0, 6), rng.choice([0.4, 0.6, 0.8]))
+            cert = solve_perfect_even_factor(d)
+            expected = first_even_factor(d)
+            got = None if cert is None else tuple(w for _, w in sorted(cert.arcs))
+            assert got == expected
+            yes += expected is not None
+        assert 50 < yes < 300
 
     def test_cap(self):
         d = Digraph.build(13, [(i, (i + 1) % 13) for i in range(13)])
