@@ -100,39 +100,100 @@ def split_blocks(
     backtracks.  Yields the class masks of each complete assignment,
     depth-first with an explicit stack, so the block count is not bounded
     by the recursion limit.
+
+    ``indep`` must be hereditary: if it rejects a mask, it rejects every
+    superset.  From the search's first dead end on, each placement is
+    followed by forced placement.  Every unplaced block is tested against
+    every class it could still join; the search backtracks at once when
+    one fits none, and a block that fits exactly one is placed there until
+    the search backtracks past this point.  The scan goes round until every
+    unplaced block has been tested since the last forced placement.  An
+    empty class counts only while it is the last empty one (for k = 2,
+    class 1 once block 0 is placed), so class labels stay those of the
+    plain search.  Classes only grow, so by heredity these cuts remove only
+    subtrees without a complete assignment, and the yielded sequence is the
+    plain search's.  A search that never backtracks never tests an
+    unplaced block.
     """
     n = len(blocks)
     classes = [0] * k
     where = [-1] * n  # class holding block i, -1 while unplaced
-    opened = [0] * (n + 1)  # classes in use before block i is placed
-    step = 0
+    trail: list[int] = []  # placed blocks, chosen and forced, in placement order
+    chosen: list[tuple[int, int, int]] = []  # (block, trail length, classes opened) per choice
+    opened = 0  # classes in use; they are always 0..opened-1
+    propagating = False  # set at the first dead end
+
+    def fits(mask: int) -> bool:
+        return mask.bit_count() <= cap and indep(mask)
+
+    def place(i: int, c: int) -> None:
+        classes[c] |= blocks[i]
+        where[i] = c
+        trail.append(i)
+
+    def force(start: int, opened: int) -> int:
+        """Forced placement over the unplaced blocks from ``start`` on,
+        scanned round and round until every one has been tested since the
+        last forced placement; the classes opened afterwards, or -1 when
+        some block fits no class."""
+        j, quiet = start, 0  # blocks passed since the last forced placement
+        while quiet < n - start:
+            if where[j] < 0:
+                block = blocks[j]
+                if opened < k - 1:
+                    # Several classes are empty: the block may open any of
+                    # them, or by heredity it fits no class at all.  Only
+                    # k > 3 gets here, as forcing starts after a backtrack,
+                    # which leaves a placed block outside class 0.
+                    if not fits(block):
+                        return -1
+                else:
+                    fit = -1
+                    for c in range(k):
+                        if fits(classes[c] | block):
+                            if fit >= 0:
+                                break  # two classes fit: nothing is forced
+                            fit = c
+                    else:
+                        if fit < 0:
+                            return -1
+                        place(j, fit)
+                        opened = max(opened, fit + 1)
+                        quiet = 0
+            quiet += 1
+            j = j + 1 if j + 1 < n else start
+        return opened
+
+    i = c = 0  # the block to choose a class for, and the first class to try
     while True:
-        if step == n:
+        while i < n and where[i] >= 0:
+            i += 1  # placed by force
+        if i == n:
             yield tuple(classes)
-            if step == 0:
-                return
-            step -= 1
-        block = blocks[step]
-        c = where[step]
-        if c >= 0:
-            classes[c] ^= block
-        limit = min(opened[step] + 1, k)
-        c += 1
-        while c < limit:
-            grown = classes[c] | block
-            if grown.bit_count() <= cap and indep(grown):
-                break
-            c += 1
-        if c < limit:
-            classes[c] |= block
-            where[step] = c
-            opened[step + 1] = max(opened[step], c + 1)
-            step += 1
         else:
-            where[step] = -1
-            if step == 0:
-                return
-            step -= 1
+            block = blocks[i]
+            limit = min(opened + 1, k)
+            while c < limit and not fits(classes[c] | block):
+                c += 1
+            if c < limit:
+                chosen.append((i, len(trail), opened))
+                place(i, c)
+                opened = max(opened, c + 1)
+                if propagating:
+                    opened = force(i + 1, opened)
+                if opened >= 0:
+                    i, c = i + 1, 0
+                    continue
+            else:
+                propagating = True
+        if not chosen:
+            return
+        i, mark, opened = chosen.pop()
+        c = where[i] + 1
+        while len(trail) > mark:
+            j = trail.pop()
+            classes[where[j]] ^= blocks[j]
+            where[j] = -1
 
 
 class ElementSet:

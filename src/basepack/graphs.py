@@ -18,10 +18,10 @@ _BYTE_BITS = tuple(tuple(b for b in range(8) if x >> b & 1) for x in range(256))
 
 
 def union_find(
-    vertex_count: int, ends: Sequence[tuple[int, int]], mask: int, forest: bool = False
+    vertex_count: int, edges: Sequence[tuple[int, int, str]], mask: int, forest: bool = False
 ) -> int:
     """Connected components of the graph on ``vertex_count`` vertices with the
-    edges (indices into ``ends``) selected by ``mask``.
+    ``(u, v, label)`` edges (indices into ``edges``) selected by ``mask``.
 
     The one union-find pass of the package.  It stops as soon as one
     component is left; with ``forest`` it returns -1 at the first edge
@@ -35,7 +35,7 @@ def union_find(
         if not byte:
             continue
         for b in _BYTE_BITS[byte]:
-            u, v = ends[8 * j + b]
+            u, v, _ = edges[8 * j + b]
             while parent[u] != u:
                 parent[u] = parent[parent[u]]
                 u = parent[u]
@@ -85,8 +85,6 @@ class MultiGraph:
         labels = [label for _, _, label in self.edges]
         if len(set(labels)) != len(labels):
             raise ValueError("edge labels must be unique")
-        # Kept beside the edges for the union-find queries.
-        object.__setattr__(self, "_ends", tuple((u, v) for u, v, _ in self.edges))
 
     @property
     def edge_count(self) -> int:
@@ -96,19 +94,19 @@ class MultiGraph:
         return GroundSet(len(self.edges), tuple(label for _, _, label in self.edges))
 
     def endpoints(self) -> tuple[tuple[int, int], ...]:
-        return self._ends
+        return tuple((u, v) for u, v, _ in self.edges)
 
     def is_forest_mask(self, mask: int) -> bool:
         """True iff the edges selected by ``mask`` form a forest."""
-        return union_find(self.vertex_count, self._ends, mask, forest=True) >= 0
+        return union_find(self.vertex_count, self.edges, mask, forest=True) >= 0
 
     def forest_rank_mask(self, mask: int) -> int:
         """Edge count of a spanning forest of the edges selected by ``mask``."""
-        return self.vertex_count - union_find(self.vertex_count, self._ends, mask)
+        return self.vertex_count - union_find(self.vertex_count, self.edges, mask)
 
     def component_count(self) -> int:
         """Connected components of the whole graph."""
-        return union_find(self.vertex_count, self._ends, (1 << len(self.edges)) - 1)
+        return union_find(self.vertex_count, self.edges, (1 << len(self.edges)) - 1)
 
     def is_connected(self) -> bool:
         return self.vertex_count <= 1 or self.component_count() == 1

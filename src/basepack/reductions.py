@@ -15,6 +15,7 @@ after; a verified YES never silently degrades.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -244,6 +245,8 @@ def naesat_to_modular_trees(formula: CnfFormula) -> SatTreesReduction:
     provenance: dict[str, str] = {}
 
     def add_edge(a: int, b: int, label: str, role: str) -> int:
+        # Formulas share most labels, so one string serves every graph.
+        label = sys.intern(label)
         edges.append((a, b, label))
         provenance[label] = role
         return len(edges) - 1

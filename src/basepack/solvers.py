@@ -120,11 +120,11 @@ def solve_modular_trees(inst: ModularTreesInstance) -> Optional[ModularCertifica
     if not inst.shape_feasible():
         return None
     graph = inst.graph
-    n_vertices, ends = graph.vertex_count, graph.endpoints()
+    n_vertices, edges = graph.vertex_count, graph.edges
     full = (1 << graph.edge_count) - 1
 
     def grows(mask: int) -> bool:
-        return graph.is_forest_mask(mask) and union_find(n_vertices, ends, full ^ mask) == 1
+        return graph.is_forest_mask(mask) and union_find(n_vertices, edges, full ^ mask) == 1
 
     return _split_modules(graph.ground_set(), inst.modules.blocks, n_vertices - 1, grows)
 
@@ -134,34 +134,40 @@ def solve_naesat(
 ) -> Optional[AssignmentCertificate]:
     """Find an assignment leaving every clause with a true and a false literal.
 
-    Splits the variables into a false and a true class with
-    :func:`split_blocks`, x1 first and then x_n down to x2; pinning x1 to
-    the false class is the complement symmetry (an assignment works
-    exactly when its complement does).  Variable x_i sits at search
-    position n + 1 - i and x1 at 0, so the variable just placed is the
-    top bit of the grown class, and a clause is checked the moment its
-    last variable is placed.  The first answer is the smallest assignment in
-    binary, x_n most significant, with x1 false.
+    Two-colours, with :func:`split_blocks`, a hypergraph on the 2n
+    literals whose edges are the pairs {x, not x} and the clauses: a class
+    may hold no whole edge, so one class is the false literals and the
+    other the true ones, and no clause lies in either.  The positive
+    literals go first, x1 and then x_n down to x2, followed by the negated
+    literals in the same order; x sits at its position p and not x at
+    n + p, so one shift finds a pair.  Pinning x1 to the false class is the
+    complement symmetry (an assignment works exactly when its complement
+    does).  The check is hereditary, so forced placement is unit
+    propagation: a literal whose complement is placed, or whose clause has
+    every other literal in one class, must go to the other class.  The
+    first answer is the smallest assignment in binary, x_n most
+    significant, with x1 false.
     """
     n = formula.num_vars
     if n > cap:
         raise ResourceCapExceeded(f"{n} variables exceeds cap {cap}")
     position = [n - v if v else 0 for v in range(n)]
-    closing: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for clause in formula.clauses:
-        lits = mask_of(position[v] for v, _ in clause)
-        neg = mask_of(position[v] for v, positive in clause if not positive)
-        closing[lits.bit_length() - 1].append((lits, neg))
+    clauses = sorted(
+        mask_of(position[v] if positive else n + position[v] for v, positive in clause)
+        for clause in formula.clauses
+    )  # a clause inside a mask is no larger than the mask
 
-    def not_all_equal(grown: int) -> bool:
-        # (grown ^ neg) & lits are the literals made true when ``grown``
-        # is the true class; by symmetry either class may be read as true.
-        for lits, neg in closing[grown.bit_length() - 1]:
-            if (grown ^ neg) & lits in (0, lits):
+    def no_whole_edge(grown: int) -> bool:
+        if grown & grown >> n:  # a pair {x, not x}
+            return False
+        for clause in clauses:
+            if clause > grown:
+                return True
+            if clause & grown == clause:
                 return False
         return True
 
-    classes = next(split_blocks([1 << p for p in range(n)], 2, n, not_all_equal), None)
+    classes = next(split_blocks([1 << p for p in range(2 * n)], 2, n, no_whole_edge), None)
     if classes is None:
         return None
     return AssignmentCertificate(tuple(bool(classes[1] >> p & 1) for p in position))
@@ -216,8 +222,15 @@ def solve_mod4_two_factor(
     """Find a 2-factor whose cycle lengths are all multiples of 4.
 
     Enumerates 2-factors by choosing two incident edges per left vertex
-    in index order (right degrees capped at 2 during the sweep), then
-    filters complete factors by cycle length.
+    in index order (right degrees capped at 2 during the sweep).  Two
+    prunes cut only choices that cannot complete, so the first answer is
+    the plain enumeration's.  A pair is skipped when one of the left
+    vertex's right neighbours could no longer reach degree 2 from its
+    unplaced left neighbours.  The chosen edges form paths between right
+    vertices of degree 1, and cycles; each path end knows the other end
+    and the path's length, so a pair that closes a cycle whose length is
+    not a multiple of 4 is skipped at once.  A complete choice is
+    therefore an answer.
     """
     n_s, n_t = graph.left.size, graph.right.size
     if n_s != n_t:
@@ -227,35 +240,50 @@ def solve_mod4_two_factor(
     if n_s == 0:
         return EdgeSetCertificate(frozenset())
     adj = graph.adjacency()
-    if any(len(nbrs) < 2 for nbrs in adj) or any(d < 2 for d in graph.right_degrees()):
+    unplaced = graph.right_degrees()  # left neighbours not yet placed
+    if any(len(nbrs) < 2 for nbrs in adj) or any(d < 2 for d in unplaced):
         return None
 
     t_deg = [0] * n_t
+    end = list(range(n_t))  # the other end of the path ending at t (t while bare)
+    length = [0] * n_t  # edges on the path ending at t
     chosen: list[tuple[int, int]] = []
 
-    def place(s: int) -> Optional[frozenset]:
+    def place(s: int) -> bool:
         if s == n_s:
-            edges = frozenset((i, t) for i, pair in enumerate(chosen) for t in pair)
-            cycles = two_factor_cycles(n_s, n_t, edges)
-            if all(len(c) % 4 == 0 for c in cycles):
-                return edges
-            return None
-        for t1, t2 in itertools.combinations(adj[s], 2):
+            return True
+        nbrs = adj[s]
+        for t in nbrs:
+            unplaced[t] -= 1
+        for t1, t2 in itertools.combinations(nbrs, 2):
             if t_deg[t1] == 2 or t_deg[t2] == 2:
+                continue
+            a, b = end[t1], end[t2]
+            closes = a == t2
+            if closes and (length[t1] + 2) % 4:
                 continue
             t_deg[t1] += 1
             t_deg[t2] += 1
-            chosen.append((t1, t2))
-            got = place(s + 1)
-            if got is not None:
-                return got
-            chosen.pop()
+            if all(t_deg[t] + unplaced[t] >= 2 for t in nbrs):
+                if not closes:
+                    saved = end[a], length[a], end[b], length[b]
+                    end[a], end[b] = b, a
+                    length[a] = length[b] = length[t1] + length[t2] + 2
+                chosen.append((t1, t2))
+                if place(s + 1):
+                    return True
+                chosen.pop()
+                if not closes:
+                    end[a], length[a], end[b], length[b] = saved
             t_deg[t1] -= 1
             t_deg[t2] -= 1
-        return None
+        for t in nbrs:
+            unplaced[t] += 1
+        return False
 
-    edges = place(0)
-    return EdgeSetCertificate(edges) if edges is not None else None
+    if not place(0):
+        return None
+    return EdgeSetCertificate(frozenset((s, t) for s, pair in enumerate(chosen) for t in pair))
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,27 @@ def cycle_lengths(n_left: int, n_right: int, edges) -> list[int]:
     return lengths
 
 
+def first_mod4_two_factor(graph: BipartiteGraph) -> frozenset | None:
+    """The first choice of two edges per left vertex (vertex 0 most
+    significant, pairs in index order) that is a 2-factor with every cycle
+    length a multiple of 4: the answer the solver must give."""
+    n = graph.left.size
+    if n != graph.right.size:
+        return None
+    choices = [list(itertools.combinations(nbrs, 2)) for nbrs in graph.adjacency()]
+    for pairs in itertools.product(*choices):
+        degree = [0] * n
+        for pair in pairs:
+            for t in pair:
+                degree[t] += 1
+        if any(d != 2 for d in degree):
+            continue
+        edges = [(s, t) for s, pair in enumerate(pairs) for t in pair]
+        if all(length % 4 == 0 for length in cycle_lengths(n, n, edges)):
+            return frozenset(edges)
+    return None
+
+
 def naive_mod4_two_factor_feasible(graph: BipartiteGraph) -> bool:
     """Sweep all edge subsets at tiny sizes; degree filter then cycle check."""
     if graph.left.size != graph.right.size:
@@ -288,6 +309,47 @@ def naive_mod4_two_factor_feasible(graph: BipartiteGraph) -> bool:
         if all(l % 4 == 0 for l in cycle_lengths(graph.left.size, graph.right.size, chosen)):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# The plain search that core.split_blocks must match
+
+
+def reference_split_blocks(blocks, k: int, cap: int, indep):
+    """``core.split_blocks`` without forced placement, as it stood before:
+    the same assignments in the same order, found by plain backtracking."""
+    n = len(blocks)
+    classes = [0] * k
+    where = [-1] * n  # class holding block i, -1 while unplaced
+    opened = [0] * (n + 1)  # classes in use before block i is placed
+    step = 0
+    while True:
+        if step == n:
+            yield tuple(classes)
+            if step == 0:
+                return
+            step -= 1
+        block = blocks[step]
+        c = where[step]
+        if c >= 0:
+            classes[c] ^= block
+        limit = min(opened[step] + 1, k)
+        c += 1
+        while c < limit:
+            grown = classes[c] | block
+            if grown.bit_count() <= cap and indep(grown):
+                break
+            c += 1
+        if c < limit:
+            classes[c] |= block
+            where[step] = c
+            opened[step + 1] = max(opened[step], c + 1)
+            step += 1
+        else:
+            where[step] = -1
+            if step == 0:
+                return
+            step -= 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Ground sets, element sets, oracle queries, axiom checks, query logging."""
+"""Ground sets, element sets, oracle queries, axiom checks, query logging, the block search."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from basepack.core import (
     ElementSet,
@@ -14,18 +16,27 @@ from basepack.core import (
     enumerate_bases,
     is_basis,
     is_independent,
+    mask_of,
     rank,
+    split_blocks,
     with_query_log,
     Matroid,
 )
 from basepack.constructions import (
+    direct_sum_all,
     free_matroid,
     graphic_matroid,
     uniform_matroid,
 )
 from basepack.graphs import MultiGraph
 
-from helpers import naive_bases, naive_rank, random_matroid
+from helpers import (
+    naive_bases,
+    naive_rank,
+    random_matroid,
+    random_partition,
+    reference_split_blocks,
+)
 
 TRIANGLE = MultiGraph.build(3, [(0, 1), (1, 2), (2, 0)])
 
@@ -323,3 +334,45 @@ def test_logged_rank_is_a_greedy_scan_through_the_log():
         mask = rng.randrange(1, 1 << n)
         assert wrapped.rank_mask(mask) == m.rank_mask(mask)
         assert log.count > 0
+
+
+LEAF_KINDS = ("graphic", "uniform", "partition")
+
+
+def search_matroid(rng: random.Random, kind: str, n: int) -> Matroid:
+    if kind in LEAF_KINDS:
+        return random_matroid(rng, n, kind)
+    cut = rng.randint(1, n - 1)
+    parts = [random_matroid(rng, size, rng.choice(LEAF_KINDS)) for size in (cut, n - cut)]
+    return direct_sum_all(parts)
+
+
+@st.composite
+def hereditary_searches(draw):
+    """Blocks, k, cap and one or two matroids whose joint independence is
+    the (hereditary) check, as the solvers and the gadget use it."""
+    n = draw(st.integers(2, 9))
+    k = draw(st.sampled_from((2, 3, 4)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(LEAF_KINDS + ("direct-sum",)), min_size=1, max_size=2))
+    matroids = [search_matroid(rng, kind, n) for kind in kinds]
+    if draw(st.booleans()):
+        blocks = [1 << e for e in range(n)]
+    else:
+        blocks = [mask_of(b) for b in random_partition(rng, GroundSet(n)).blocks]
+        rng.shuffle(blocks)
+    return blocks, k, rng.randint(1, n), matroids
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(hereditary_searches())
+def test_split_blocks_yields_the_plain_search_sequence(search):
+    # Forced placement may only cut subtrees without a complete assignment.
+    blocks, k, cap, matroids = search
+
+    def indep(mask: int) -> bool:
+        return all(m.indep_mask(mask) for m in matroids)
+
+    assert list(split_blocks(blocks, k, cap, indep)) == list(
+        reference_split_blocks(blocks, k, cap, indep)
+    )

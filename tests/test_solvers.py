@@ -24,6 +24,7 @@ from basepack.instances import (
     ModularTreesInstance,
     ParityInstance,
 )
+from basepack.reductions import even_factor_to_mod4_factor, naesat_to_modular_trees
 from basepack.solvers import (
     solve_common_bases,
     solve_mod4_two_factor,
@@ -37,6 +38,7 @@ from basepack.solvers import (
 
 from helpers import (
     first_even_factor,
+    first_mod4_two_factor,
     first_nae_assignment,
     naive_common_bases_feasible,
     naive_even_factor_feasible,
@@ -206,6 +208,25 @@ class TestModularTrees:
         cert = solve_modular_trees(ModularTreesInstance(graph, modules))
         assert cert is not None
 
+    def test_chain_formula_takes_few_forest_tests(self, monkeypatch):
+        # The r2 image of (x_i or x_{i+1}), i < 30.  Plain backtracking
+        # made 51,045 forest tests at 14 variables, about 4x more for
+        # every two variables; forced placement makes 9,155 here.
+        formula = CnfFormula.normalize(30, [[(i, True), (i + 1, True)] for i in range(29)])
+        inst = naesat_to_modular_trees(formula).instance
+        calls = 0
+        is_forest_mask = MultiGraph.is_forest_mask
+
+        def counted(graph, mask):
+            nonlocal calls
+            calls += 1
+            return is_forest_mask(graph, mask)
+
+        monkeypatch.setattr(MultiGraph, "is_forest_mask", counted)
+        cert = solve_modular_trees(inst)
+        assert calls <= 25_000
+        assert cert is not None and verify_certificate("modular-trees", inst, cert).ok
+
 
 def graphic_rank_ok(graph: MultiGraph) -> bool:
     """Whether the graphic matroid meets the modular-instance balance."""
@@ -347,6 +368,23 @@ class TestMod4TwoFactor:
     def test_unequal_sides_no(self):
         g = BipartiteGraph.build(2, 3, [(0, 0), (1, 1)])
         assert solve_mod4_two_factor(g) is None
+
+    def test_first_answer_is_reference_order(self):
+        # The early prunes cut only choices that cannot complete.
+        rng = random.Random(20191)
+        yes = 0
+        for trial in range(300):
+            if trial % 2:
+                digraph = random_digraph(rng, rng.randint(1, 4), rng.choice([0.4, 0.6, 0.8]))
+                graph = even_factor_to_mod4_factor(digraph).graph
+            else:
+                n = rng.randint(1, 5)
+                graph = random_bipartite(rng, n, n, rng.choice([0.5, 0.7]))
+            cert = solve_mod4_two_factor(graph)
+            expected = first_mod4_two_factor(graph)
+            assert (None if cert is None else cert.edges) == expected
+            yes += expected is not None
+        assert 30 < yes < 300
 
     def test_matches_subset_enumeration(self):
         rng = random.Random(241)
