@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .core import ElementSet, GroundSet, Matroid, ResourceCapExceeded, with_query_log
+from .core import ElementSet, GroundSet, Matroid, Record, ResourceCapExceeded, with_query_log
 from .constructions import HyperplaneFamily, PartitionOfGroundSet, paving_matroid
 from .instances import ParityInstance
 
@@ -31,15 +30,20 @@ MAX_T = 8
 SWEEP_MAX_T = 5
 
 
-@dataclass(frozen=True)
-class AdversaryPair:
-    """The hidden matroid pair with its pairing and the distinguished set."""
+class AdversaryPair(Record):
+    """The hidden matroid pair with its pairing and the distinguished set.
 
-    t: int
-    pairing: PartitionOfGroundSet
-    hidden_set: ElementSet
-    strict: Matroid  # no parity set of size 2t is a basis
-    relaxed: Matroid  # same, except the hidden set and its complement
+    In ``strict`` no parity set of size 2t is a basis; ``relaxed`` is the
+    same, except the hidden set and its complement.
+    """
+
+    __slots__ = ("t", "pairing", "hidden_set", "strict", "relaxed")
+
+    def __init__(
+        self, t: int, pairing: PartitionOfGroundSet, hidden_set: ElementSet, strict: Matroid,
+        relaxed: Matroid
+    ) -> None:
+        self._init(t, pairing, hidden_set, strict, relaxed)
 
     @property
     def ground(self) -> GroundSet:
@@ -110,16 +114,21 @@ def count_parity_hiding_sets(t: int) -> int:
     return math.comb(2 * t, t)
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(Record):
     """Replay record of one solver run against a hidden oracle."""
 
-    t: int
-    hidden: str
-    total_queries: int
-    distinguishing_query_index: Optional[int]
-    agreement_verified: bool
-    solver_answer: Optional[object] = None
+    __slots__ = (
+        "t", "hidden", "total_queries", "distinguishing_query_index", "agreement_verified",
+        "solver_answer",
+    )
+
+    def __init__(
+        self, t: int, hidden: str, total_queries: int, distinguishing_query_index: Optional[int],
+        agreement_verified: bool, solver_answer: Optional[object] = None
+    ) -> None:
+        self._init(
+            t, hidden, total_queries, distinguishing_query_index, agreement_verified, solver_answer,
+        )
 
     def to_json(self) -> dict:
         return {

@@ -10,10 +10,9 @@ verifier only ever sees well-typed certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .core import ElementSet, GroundSet
+from .core import ElementSet, GroundSet, Record
 
 
 def _class_json(subset: ElementSet) -> dict:
@@ -42,13 +41,15 @@ def _pairs(value, what: str) -> frozenset[tuple[int, int]]:
     return frozenset((a, b) for a, b in value)
 
 
-@dataclass(frozen=True)
-class PartitionCertificate:
+class PartitionCertificate(Record):
     """A partition of a ground set into classes (common bases, usually two)."""
 
     SCHEMA = "certificate/common-bases/1"
 
-    classes: tuple[ElementSet, ...]
+    __slots__ = ("classes",)
+
+    def __init__(self, classes: tuple[ElementSet, ...]) -> None:
+        self._init(classes)
 
     def to_json(self) -> dict:
         return {
@@ -66,8 +67,7 @@ class PartitionCertificate:
         return PartitionCertificate(tuple(ElementSet.from_mask(ground, m) for m in masks))
 
 
-@dataclass(frozen=True)
-class ModularCertificate:
+class ModularCertificate(Record):
     """A bipartition of a ground set into two module-respecting classes.
 
     ``first_modules`` lists the module indices whose union is the first
@@ -76,8 +76,12 @@ class ModularCertificate:
 
     SCHEMA = "certificate/modular-bases/1"
 
-    first_modules: tuple[int, ...]
-    classes: tuple[ElementSet, ElementSet]
+    __slots__ = ("first_modules", "classes")
+
+    def __init__(
+        self, first_modules: tuple[int, ...], classes: tuple[ElementSet, ElementSet]
+    ) -> None:
+        self._init(first_modules, classes)
 
     def to_json(self) -> dict:
         return {
@@ -107,13 +111,15 @@ class ModularCertificate:
         )
 
 
-@dataclass(frozen=True)
-class AssignmentCertificate:
+class AssignmentCertificate(Record):
     """A truth assignment, indexed by variable."""
 
     SCHEMA = "certificate/naesat/1"
 
-    values: tuple[bool, ...]
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[bool, ...]) -> None:
+        self._init(values)
 
     def to_json(self) -> dict:
         return {
@@ -132,13 +138,15 @@ class AssignmentCertificate:
         return AssignmentCertificate(tuple(raw[k] for k in keys))
 
 
-@dataclass(frozen=True)
-class ArcSetCertificate:
+class ArcSetCertificate(Record):
     """A set of arcs of a digraph (a perfect even factor)."""
 
     SCHEMA = "certificate/even-factor/1"
 
-    arcs: frozenset[tuple[int, int]]
+    __slots__ = ("arcs",)
+
+    def __init__(self, arcs: frozenset[tuple[int, int]]) -> None:
+        self._init(arcs)
 
     def to_json(self) -> dict:
         return {
@@ -151,13 +159,15 @@ class ArcSetCertificate:
         return ArcSetCertificate(_pairs(data["arcs"], "arcs"))
 
 
-@dataclass(frozen=True)
-class EdgeSetCertificate:
+class EdgeSetCertificate(Record):
     """A set of edges of a bipartite graph (a 2-factor)."""
 
     SCHEMA = "certificate/mod4-2factor/1"
 
-    edges: frozenset[tuple[int, int]]
+    __slots__ = ("edges",)
+
+    def __init__(self, edges: frozenset[tuple[int, int]]) -> None:
+        self._init(edges)
 
     def to_json(self) -> dict:
         return {

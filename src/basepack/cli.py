@@ -6,13 +6,18 @@ usage/format error, 3 = resource cap exceeded, 4 = internal error (the
 traceback goes to stderr).  Each problem and rule reads its input
 through the problem registry in :mod:`basepack.solvers`: JSON when the
 input starts with ``{``, else the problem's text format; an instance of
-the wrong schema is a format error.  ``--cap`` applies to the
-common-bases, naesat, even-factor and mod4-2factor solvers only.  A
-matroid descriptor nested too deeply for its recursive oracles exits 3,
-and so does ``adversary --t`` above 8 (above 5 for the ``size-order``
+the wrong schema is a format error.  ``--cap`` takes a non-negative
+integer and applies to the common-bases, naesat, even-factor and
+mod4-2factor solvers only.  A matroid descriptor nested too deeply for
+its recursive oracles exits 3, and so does ``adversary --t`` above 8 (above 5 for the ``size-order``
 and ``pair-avoider`` solvers, which query every subset), before
 anything is built.
 ``gadget verify`` certifies up to ell = 5 blocks on one core.
+
+Most of a stage's wall time is interpreter start-up and imports, so a
+command imports what only it uses when it runs: the gadget for
+``gadget`` and ``emit-dot --gadget-ell``, the adversary for
+``adversary``, and :mod:`traceback` for an internal error.
 """
 
 from __future__ import annotations
@@ -20,15 +25,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 
 from .core import ResourceCapExceeded, UniverseMismatch, check_independence_axioms
-from .adversary import (
-    SWEEP_MAX_T,
-    build_adversary,
-    count_parity_hiding_sets,
-    run_indistinguishability,
-)
 from .formats import (
     FormatError,
     dump_instance,
@@ -37,13 +35,6 @@ from .formats import (
     parse_json,
     read_json,
     read_text,
-)
-from .gadget import (
-    DEFAULT_LABELING,
-    BlockLabeling,
-    build_gadget,
-    search_block_labeling,
-    verify_gadget,
 )
 from .graphs import BipartiteGraph, Digraph
 from .instances import CnfFormula, ModularTreesInstance
@@ -146,6 +137,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gadget(args) -> int:
+    from .gadget import (
+        DEFAULT_LABELING,
+        BlockLabeling,
+        build_gadget,
+        search_block_labeling,
+        verify_gadget,
+    )
+
     if args.action == "search":
         labeling = search_block_labeling()
         _emit(labeling.to_json(), args.pretty)
@@ -173,6 +172,13 @@ def _masks_by_size(n: int):
 
 
 def cmd_adversary(args) -> int:
+    from .adversary import (
+        SWEEP_MAX_T,
+        build_adversary,
+        count_parity_hiding_sets,
+        run_indistinguishability,
+    )
+
     if args.solver != "parity-sweep" and args.t > SWEEP_MAX_T:
         raise ResourceCapExceeded(
             f"solver {args.solver} queries all 2^{4 * args.t} subsets; "
@@ -226,6 +232,8 @@ def cmd_axioms(args) -> int:
 
 def cmd_emit_dot(args) -> int:
     if args.gadget_ell:
+        from .gadget import DEFAULT_LABELING, build_gadget
+
         pair = build_gadget(DEFAULT_LABELING, args.gadget_ell)
         print(pair.first_graph.to_dot("first"))
         print(pair.second_graph.to_dot("second"))
@@ -239,6 +247,17 @@ def cmd_emit_dot(args) -> int:
     else:
         raise FormatError("emit-dot expects a graph-backed instance")
     return EXIT_YES
+
+
+def _cap(text: str) -> int:
+    """An element cap: a non-negative integer, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run a brute-force solver")
     p.add_argument("--problem", required=True, choices=list(PROBLEMS))
-    p.add_argument("--cap", type=int, default=None, help="exhaustive size cap override")
+    p.add_argument("--cap", type=_cap, default=None, help="exhaustive size cap override")
     p.add_argument("input", nargs="?", default="-")
     p.set_defaults(func=cmd_solve)
 
@@ -285,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("axioms", help="exhaustively check the independence axioms")
     p.add_argument("input", nargs="?", default="-")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_cap, default=None)
     p.set_defaults(func=cmd_axioms)
 
     p = sub.add_parser("emit-dot", help="render a graph-backed instance as DOT")
@@ -315,6 +334,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:  # a bug, not a verdict: keep it apart from exit 1
+        import traceback
+
         traceback.print_exc()
         return EXIT_INTERNAL
 

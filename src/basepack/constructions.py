@@ -17,10 +17,9 @@ greedy scan of an independence oracle.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import ElementSet, GroundSet, Matroid, bits_of
+from .core import ElementSet, GroundSet, Matroid, Record, bits_of
 from .fields import Matrix, gf
 from .graphs import BipartiteGraph, MultiGraph, augment
 
@@ -28,12 +27,13 @@ MIN_REPRESENTATION_PRIME = 10**6
 DEFAULT_REPRESENTATION_PRIME = 2147483647  # 2^31 - 1
 
 
-@dataclass(frozen=True)
-class PartitionOfGroundSet:
+class PartitionOfGroundSet(Record):
     """A partition of a ground set into non-empty, disjoint, covering blocks."""
 
-    universe: GroundSet
-    blocks: tuple[ElementSet, ...]
+    __slots__ = ("universe", "blocks")
+
+    def __init__(self, universe: GroundSet, blocks: tuple[ElementSet, ...]) -> None:
+        self._init(universe, blocks)
 
     @staticmethod
     def build(universe: GroundSet, blocks: Iterable[Iterable[int]]) -> "PartitionOfGroundSet":
@@ -57,15 +57,15 @@ class PartitionOfGroundSet:
         return [sorted(b) for b in self.blocks]
 
 
-@dataclass(frozen=True)
-class HyperplaneFamily:
+class HyperplaneFamily(Record):
     """Rank-r exclusion family: proper subsets of size >= r with pairwise
     intersections of size <= r - 2.  Avoiding these sets defines the bases
     of a paving matroid."""
 
-    universe: GroundSet
-    r: int
-    sets: tuple[ElementSet, ...]
+    __slots__ = ("universe", "r", "sets")
+
+    def __init__(self, universe: GroundSet, r: int, sets: tuple[ElementSet, ...]) -> None:
+        self._init(universe, r, sets)
 
     @staticmethod
     def build(universe: GroundSet, r: int, sets: Iterable[Iterable[int]]) -> "HyperplaneFamily":

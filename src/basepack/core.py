@@ -16,7 +16,6 @@ the wrapper across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 DEFAULT_EXHAUSTIVE_CAP = 24
@@ -30,12 +29,64 @@ class UniverseMismatch(ValueError):
     """An element set was used against a ground set of a different size."""
 
 
-@dataclass(frozen=True)
-class GroundSet:
+class Record:
+    """Base of the immutable value records: ground sets, graphs, instances,
+    certificates and reports.
+
+    A record's fields are the names in its class's ``__slots__`` that do
+    not start with an underscore, in order; an underscored slot holds a
+    value derived from the fields.  ``__init__`` stores the fields through
+    :meth:`_init`, which then runs ``__post_init__`` to check and
+    normalize them.  Records of one class are equal, and hash alike, when
+    their fields are; setting or deleting an attribute raises
+    AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def _init(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check and normalize the fields; any values pass by default."""
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot set or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class GroundSet(Record):
     """A dense ground set 0..size-1 with optional unique display labels."""
 
-    size: int
-    labels: Optional[tuple[str, ...]] = None
+    __slots__ = ("size", "labels")
+
+    def __init__(self, size: int, labels: Optional[tuple[str, ...]] = None) -> None:
+        self._init(size, labels)
 
     def __post_init__(self) -> None:
         if self.size < 0:
@@ -399,11 +450,11 @@ def enumerate_bases(
     return out
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
-    name: str
-    passed: bool
-    witness: Optional[tuple] = None
+class AxiomCheck(Record):
+    __slots__ = ("name", "passed", "witness")
+
+    def __init__(self, name: str, passed: bool, witness: Optional[tuple] = None) -> None:
+        self._init(name, passed, witness)
 
     def __str__(self) -> str:
         if self.passed:
@@ -411,9 +462,11 @@ class AxiomCheck:
         return f"{self.name}: FAIL witness={self.witness}"
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    checks: tuple[AxiomCheck, ...]
+class AxiomReport(Record):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple[AxiomCheck, ...]) -> None:
+        self._init(checks)
 
     @property
     def ok(self) -> bool:

@@ -7,9 +7,10 @@ needs; everything is done with exact arithmetic (machine ints mod p, or
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
+
+from .core import Record
 
 Entry = Union[int, Fraction]
 
@@ -45,14 +46,15 @@ def parse_field(descriptor: str) -> tuple[str, int]:
     raise ValueError(f"unknown field descriptor {descriptor!r}")
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Record):
     """A dense matrix over GF(p) (field="gf:p") or the rationals (field="q")."""
 
-    field: str
-    rows: int
-    cols: int
-    entries: tuple[tuple[Entry, ...], ...]
+    __slots__ = ("field", "rows", "cols", "entries", "_field")
+
+    def __init__(
+        self, field: str, rows: int, cols: int, entries: tuple[tuple[Entry, ...], ...]
+    ) -> None:
+        self._init(field, rows, cols, entries)
 
     def __post_init__(self) -> None:
         """Parse the field (the one place that does) and normalize the

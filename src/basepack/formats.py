@@ -200,7 +200,9 @@ def load_matroid(descriptor: dict) -> Matroid:
     _reject_floats(descriptor)
     try:
         return matroid_from_descriptor(descriptor)
-    except (KeyError, ValueError, TypeError) as exc:
+    except KeyError as exc:
+        raise FormatError(f"bad matroid descriptor: missing key {exc.args[0]!r}") from None
+    except (ValueError, TypeError) as exc:
         raise FormatError(f"bad matroid descriptor: {exc}") from None
 
 

@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import ElementSet, GroundSet, Matroid, ResourceCapExceeded, split_blocks
+from .core import ElementSet, GroundSet, Matroid, Record, ResourceCapExceeded, split_blocks
 from .constructions import graphic_matroid
 from .graphs import MultiGraph
 
@@ -47,8 +46,7 @@ SECOND_PENDANTS = {"e": (0, 4), "f": (0, 5)}
 VERIFY_ELL_CAP = 5
 
 
-@dataclass(frozen=True)
-class BlockLabeling:
+class BlockLabeling(Record):
     """Label-to-edge assignment for one gadget block.
 
     ``first_path`` orders a,b,c along the first graph's K4 path and
@@ -58,10 +56,13 @@ class BlockLabeling:
     one letter-to-edge map per graph.
     """
 
-    first_path: tuple[str, str, str]
-    first_copath: tuple[str, str, str]
-    second_path: tuple[str, str, str]
-    second_copath: tuple[str, str, str]
+    __slots__ = ("first_path", "first_copath", "second_path", "second_copath")
+
+    def __init__(
+        self, first_path: tuple[str, str, str], first_copath: tuple[str, str, str],
+        second_path: tuple[str, str, str], second_copath: tuple[str, str, str]
+    ) -> None:
+        self._init(first_path, first_copath, second_path, second_copath)
 
     def __post_init__(self) -> None:
         if sorted(self.first_path) != ["a", "b", "c"]:
@@ -107,17 +108,19 @@ class BlockLabeling:
         )
 
 
-@dataclass(frozen=True)
-class GadgetPair:
+class GadgetPair(Record):
     """An ell-block instantiation of a certified block labeling."""
 
-    ell: int
-    labeling: BlockLabeling
-    ground: GroundSet
-    first_graph: MultiGraph
-    second_graph: MultiGraph
-    first_matroid: Matroid
-    second_matroid: Matroid
+    __slots__ = (
+        "ell", "labeling", "ground", "first_graph", "second_graph", "first_matroid",
+        "second_matroid",
+    )
+
+    def __init__(
+        self, ell: int, labeling: BlockLabeling, ground: GroundSet, first_graph: MultiGraph,
+        second_graph: MultiGraph, first_matroid: Matroid, second_matroid: Matroid
+    ) -> None:
+        self._init(ell, labeling, ground, first_graph, second_graph, first_matroid, second_matroid)
 
     def element(self, block: int, letter: str) -> int:
         return 9 * block + LETTERS.index(letter)
@@ -176,21 +179,26 @@ def build_gadget(labeling: BlockLabeling, ell: int) -> GadgetPair:
     )
 
 
-@dataclass(frozen=True)
-class GadgetCertificate:
+class GadgetCertificate(Record):
     """Outcome of the exhaustive bipartition search over a gadget pair."""
 
-    ell: int
-    ok_a: bool
-    witness_large: Optional[ElementSet]
-    witness_small: Optional[ElementSet]
-    ok_b: bool
-    counterexample: Optional[tuple[ElementSet, ElementSet]]
-    feasible_bipartitions: int
-    efgh_always_together: bool
-    i_always_opposite: bool
-    blocks_always_split_53: bool
-    elapsed_seconds: float
+    __slots__ = (
+        "ell", "ok_a", "witness_large", "witness_small", "ok_b", "counterexample",
+        "feasible_bipartitions", "efgh_always_together", "i_always_opposite",
+        "blocks_always_split_53", "elapsed_seconds",
+    )
+
+    def __init__(
+        self, ell: int, ok_a: bool, witness_large: Optional[ElementSet],
+        witness_small: Optional[ElementSet], ok_b: bool,
+        counterexample: Optional[tuple[ElementSet, ElementSet]], feasible_bipartitions: int,
+        efgh_always_together: bool, i_always_opposite: bool, blocks_always_split_53: bool,
+        elapsed_seconds: float
+    ) -> None:
+        self._init(
+            ell, ok_a, witness_large, witness_small, ok_b, counterexample, feasible_bipartitions,
+            efgh_always_together, i_always_opposite, blocks_always_split_53, elapsed_seconds,
+        )
 
     @property
     def ok(self) -> bool:

@@ -7,10 +7,9 @@ are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .core import GroundSet
+from .core import GroundSet, Record
 
 
 # The set bit positions of each byte value, for walking a mask byte by byte.
@@ -52,16 +51,17 @@ def union_find(
     return comps
 
 
-@dataclass(frozen=True)
-class MultiGraph:
+class MultiGraph(Record):
     """An undirected multigraph with labeled edges.
 
     Parallel edges and self-loops are permitted; edge labels are unique
     and double as the ground-set labels of the graphic matroid.
     """
 
-    vertex_count: int
-    edges: tuple[tuple[int, int, str], ...]
+    __slots__ = ("vertex_count", "edges")
+
+    def __init__(self, vertex_count: int, edges: tuple[tuple[int, int, str], ...]) -> None:
+        self._init(vertex_count, edges)
 
     @staticmethod
     def build(vertex_count: int, edges: Iterable) -> "MultiGraph":
@@ -129,13 +129,15 @@ class MultiGraph:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
+class BipartiteGraph(Record):
     """A bipartite graph (S, T; E) with E as (left, right) index pairs."""
 
-    left: GroundSet
-    right: GroundSet
-    edges: frozenset[tuple[int, int]]
+    __slots__ = ("left", "right", "edges")
+
+    def __init__(
+        self, left: GroundSet, right: GroundSet, edges: frozenset[tuple[int, int]]
+    ) -> None:
+        self._init(left, right, edges)
 
     @staticmethod
     def build(
@@ -230,12 +232,13 @@ def augment(adj: Sequence[Sequence[int]], match_right: dict[int, int], s: int) -
         u, scan = v, iter(adj[v])
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(Record):
     """A loopless directed graph; arcs are (tail, head) pairs."""
 
-    vertex_count: int
-    arcs: tuple[tuple[int, int], ...]
+    __slots__ = ("vertex_count", "arcs")
+
+    def __init__(self, vertex_count: int, arcs: tuple[tuple[int, int], ...]) -> None:
+        self._init(vertex_count, arcs)
 
     @staticmethod
     def build(vertex_count: int, arcs: Iterable[tuple[int, int]]) -> "Digraph":

@@ -7,23 +7,23 @@ or nothing at all (plain common bases of two matroids).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import GroundSet, Matroid, UniverseMismatch
+from .core import GroundSet, Matroid, Record, UniverseMismatch
 from .constructions import PartitionOfGroundSet, graphic_matroid
 from .graphs import MultiGraph
 
 
-@dataclass(frozen=True)
-class ModularInstance:
+class ModularInstance(Record):
     """A matroid plus a module partition; the ground set has size twice the rank.
 
     Asks: partition the ground set into two bases, each a union of modules.
     """
 
-    matroid: Matroid
-    modules: PartitionOfGroundSet
+    __slots__ = ("matroid", "modules")
+
+    def __init__(self, matroid: Matroid, modules: PartitionOfGroundSet) -> None:
+        self._init(matroid, modules)
 
     def __post_init__(self) -> None:
         if self.modules.universe.size != self.matroid.ground.size:
@@ -39,13 +39,13 @@ class ModularInstance:
         return self.matroid.ground
 
 
-@dataclass(frozen=True)
-class CommonBasesInstance:
+class CommonBasesInstance(Record):
     """Two matroids on a shared ground set; partition it into k common bases."""
 
-    m1: Matroid
-    m2: Matroid
-    k: int = 2
+    __slots__ = ("m1", "m2", "k")
+
+    def __init__(self, m1: Matroid, m2: Matroid, k: int = 2) -> None:
+        self._init(m1, m2, k)
 
     def __post_init__(self) -> None:
         if self.m1.ground.size != self.m2.ground.size:
@@ -58,8 +58,7 @@ class CommonBasesInstance:
         return self.m1.ground
 
 
-@dataclass(frozen=True)
-class ParityInstance:
+class ParityInstance(Record):
     """A matroid with its ground set partitioned into pairs.
 
     Asks: partition the ground set into two bases, each a union of
@@ -67,8 +66,10 @@ class ParityInstance:
     not required up front; unbalanced instances are simply infeasible.
     """
 
-    matroid: Matroid
-    pairs: PartitionOfGroundSet
+    __slots__ = ("matroid", "pairs")
+
+    def __init__(self, matroid: Matroid, pairs: PartitionOfGroundSet) -> None:
+        self._init(matroid, pairs)
 
     def __post_init__(self) -> None:
         if self.pairs.universe.size != self.matroid.ground.size:
@@ -87,8 +88,7 @@ class ParityInstance:
         return self.matroid.ground
 
 
-@dataclass(frozen=True)
-class ModularTreesInstance:
+class ModularTreesInstance(Record):
     """A multigraph with its edge set partitioned into modules.
 
     Asks: partition the edges into two spanning trees, each a union of
@@ -97,8 +97,10 @@ class ModularTreesInstance:
     representable so solvers can return a verdict instead of failing.
     """
 
-    graph: MultiGraph
-    modules: PartitionOfGroundSet
+    __slots__ = ("graph", "modules")
+
+    def __init__(self, graph: MultiGraph, modules: PartitionOfGroundSet) -> None:
+        self._init(graph, modules)
 
     def __post_init__(self) -> None:
         if self.modules.universe.size != self.graph.edge_count:
@@ -118,8 +120,7 @@ class ModularTreesInstance:
         return ModularInstance(graphic_matroid(self.graph), self.modules)
 
 
-@dataclass(frozen=True)
-class CnfFormula:
+class CnfFormula(Record):
     """A CNF formula normalized for not-all-equal satisfaction.
 
     Clauses are tuples of (variable index, polarity) sorted by variable;
@@ -131,9 +132,13 @@ class CnfFormula:
     construction needs honest cycles.
     """
 
-    num_vars: int
-    clauses: tuple[tuple[tuple[int, bool], ...], ...]
-    dropped_tautologies: int = 0
+    __slots__ = ("num_vars", "clauses", "dropped_tautologies")
+
+    def __init__(
+        self, num_vars: int, clauses: tuple[tuple[tuple[int, bool], ...], ...],
+        dropped_tautologies: int = 0
+    ) -> None:
+        self._init(num_vars, clauses, dropped_tautologies)
 
     def __post_init__(self) -> None:
         for clause in self.clauses:

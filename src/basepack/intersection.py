@@ -25,10 +25,9 @@ sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import ElementSet, GroundSet, Matroid, UniverseMismatch
+from .core import ElementSet, GroundSet, Matroid, Record, UniverseMismatch
 from .constructions import (
     PartitionOfGroundSet,
     direct_sum_all,
@@ -149,12 +148,13 @@ def _augment_phase(
     return current
 
 
-@dataclass(frozen=True)
-class PartitionVerdict:
+class PartitionVerdict(Record):
     """Outcome of a partition-into-independent-sets attempt."""
 
-    feasible: bool
-    classes: Optional[tuple[ElementSet, ...]] = None
+    __slots__ = ("feasible", "classes")
+
+    def __init__(self, feasible: bool, classes: Optional[tuple[ElementSet, ...]] = None) -> None:
+        self._init(feasible, classes)
 
 
 def partition_into_independent(matroid: Matroid, k: int) -> PartitionVerdict:
@@ -193,15 +193,16 @@ def partition_into_independent(matroid: Matroid, k: int) -> PartitionVerdict:
     return PartitionVerdict(True, classes)
 
 
-@dataclass(frozen=True)
-class NecessaryCheck:
+class NecessaryCheck(Record):
     """Outcome of the counting + partition necessary condition for packing
     common bases.  Passing does not imply feasibility; failing refutes it."""
 
-    passed: bool
-    size_condition: bool
-    partitionable_1: bool
-    partitionable_2: bool
+    __slots__ = ("passed", "size_condition", "partitionable_1", "partitionable_2")
+
+    def __init__(
+        self, passed: bool, size_condition: bool, partitionable_1: bool, partitionable_2: bool
+    ) -> None:
+        self._init(passed, size_condition, partitionable_1, partitionable_2)
 
     def __str__(self) -> str:
         status = "pass" if self.passed else "fail"

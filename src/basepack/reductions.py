@@ -16,10 +16,9 @@ after; a verified YES never silently degrades.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .core import GroundSet, Matroid
+from .core import GroundSet, Matroid, Record
 from .certificates import (
     ArcSetCertificate,
     AssignmentCertificate,
@@ -38,7 +37,6 @@ from .constructions import (
     transversal_matroid,
     truncate,
 )
-from .gadget import GadgetPair, default_gadget
 from .graphs import BipartiteGraph, Digraph, MultiGraph, augment, two_factor_cycles
 from .instances import (
     CnfFormula,
@@ -48,6 +46,9 @@ from .instances import (
     ParityInstance,
 )
 from .solvers import verify_certificate
+
+if TYPE_CHECKING:
+    from .gadget import GadgetPair
 
 
 class CertificateRejected(ValueError):
@@ -64,13 +65,14 @@ def _require(problem: str, instance, certificate, side: str) -> None:
 # r1: modular bases -> common bases
 
 
-@dataclass(frozen=True)
-class CommonBasesReduction:
-    source: ModularInstance
-    instance: CommonBasesInstance
-    gadgets: tuple[GadgetPair, ...]
-    module_offsets: tuple[int, ...]
-    provenance: dict[str, str]
+class CommonBasesReduction(Record):
+    __slots__ = ("source", "instance", "gadgets", "module_offsets", "provenance")
+
+    def __init__(
+        self, source: ModularInstance, instance: CommonBasesInstance,
+        gadgets: tuple[GadgetPair, ...], module_offsets: tuple[int, ...], provenance: dict[str, str]
+    ) -> None:
+        self._init(source, instance, gadgets, module_offsets, provenance)
 
 
 def modular_to_common_bases(inst: ModularInstance) -> CommonBasesReduction:
@@ -86,6 +88,8 @@ def modular_to_common_bases(inst: ModularInstance) -> CommonBasesReduction:
     5p-truncation of the free matroid on the module summed with the
     gadget's second matroid, all summed together.
     """
+    from .gadget import default_gadget  # only r1 needs the gadget
+
     matroid = inst.matroid
     n = matroid.ground.size
     blocks = inst.modules.blocks
@@ -197,16 +201,22 @@ def pull_common_to_modular(
 # r2: not-all-equal SAT -> modular spanning trees
 
 
-@dataclass(frozen=True)
-class SatTreesReduction:
-    formula: CnfFormula
-    instance: ModularTreesInstance
-    pos_path_module: tuple[int, ...]
-    neg_path_module: tuple[int, ...]
-    pos_pair_modules: tuple[tuple[int, ...], ...]
-    neg_pair_modules: tuple[tuple[int, ...], ...]
-    clause_edge_modules: tuple[tuple[int, ...], ...]
-    provenance: dict[str, str]
+class SatTreesReduction(Record):
+    __slots__ = (
+        "formula", "instance", "pos_path_module", "neg_path_module", "pos_pair_modules",
+        "neg_pair_modules", "clause_edge_modules", "provenance",
+    )
+
+    def __init__(
+        self, formula: CnfFormula, instance: ModularTreesInstance, pos_path_module: tuple[int, ...],
+        neg_path_module: tuple[int, ...], pos_pair_modules: tuple[tuple[int, ...], ...],
+        neg_pair_modules: tuple[tuple[int, ...], ...],
+        clause_edge_modules: tuple[tuple[int, ...], ...], provenance: dict[str, str]
+    ) -> None:
+        self._init(
+            formula, instance, pos_path_module, neg_path_module, pos_pair_modules,
+            neg_pair_modules, clause_edge_modules, provenance,
+        )
 
 
 # (polarity, label sign, provenance word), positive first.
@@ -354,12 +364,14 @@ def pull_assignment_from_trees(
 # r3: perfect even factor -> 2-factor with cycle lengths divisible by 4
 
 
-@dataclass(frozen=True)
-class EvenFactorReduction:
-    digraph: Digraph
-    graph: BipartiteGraph
-    path_edges: tuple[tuple[tuple[int, int], ...], ...]
-    provenance: dict[str, str]
+class EvenFactorReduction(Record):
+    __slots__ = ("digraph", "graph", "path_edges", "provenance")
+
+    def __init__(
+        self, digraph: Digraph, graph: BipartiteGraph,
+        path_edges: tuple[tuple[tuple[int, int], ...], ...], provenance: dict[str, str]
+    ) -> None:
+        self._init(digraph, graph, path_edges, provenance)
 
     @property
     def instance(self) -> BipartiteGraph:
@@ -426,12 +438,14 @@ def pull_even_factor(red: EvenFactorReduction, cert: EdgeSetCertificate) -> ArcS
 # r4: mod-4 2-factor -> parity bases of a transversal matroid
 
 
-@dataclass(frozen=True)
-class ParityBasesReduction:
-    graph: BipartiteGraph
-    instance: ParityInstance
-    doubled: BipartiteGraph
-    provenance: dict[str, str]
+class ParityBasesReduction(Record):
+    __slots__ = ("graph", "instance", "doubled", "provenance")
+
+    def __init__(
+        self, graph: BipartiteGraph, instance: ParityInstance, doubled: BipartiteGraph,
+        provenance: dict[str, str]
+    ) -> None:
+        self._init(graph, instance, doubled, provenance)
 
 
 def mod4_factor_to_parity_bases(graph: BipartiteGraph) -> Optional[ParityBasesReduction]:
@@ -513,11 +527,13 @@ def pull_factor_from_parity(
 # r5: common bases -> common bases against a partition matroid
 
 
-@dataclass(frozen=True)
-class PartitionFormReduction:
-    source: CommonBasesInstance
-    instance: CommonBasesInstance
-    provenance: dict[str, str]
+class PartitionFormReduction(Record):
+    __slots__ = ("source", "instance", "provenance")
+
+    def __init__(
+        self, source: CommonBasesInstance, instance: CommonBasesInstance, provenance: dict[str, str]
+    ) -> None:
+        self._init(source, instance, provenance)
 
 
 def to_partition_matroid_form(inst: CommonBasesInstance) -> PartitionFormReduction:

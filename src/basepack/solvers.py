@@ -10,13 +10,13 @@ problem with oracle calls only, never enumeration.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from .core import (
     DEFAULT_EXHAUSTIVE_CAP,
     ElementSet,
     GroundSet,
+    Record,
     ResourceCapExceeded,
     mask_of,
     split_blocks,
@@ -42,10 +42,11 @@ EVEN_FACTOR_CAP = 12
 TWO_FACTOR_CAP = DEFAULT_EXHAUSTIVE_CAP
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    ok: bool
-    reason: Optional[str] = None
+class VerifyResult(Record):
+    __slots__ = ("ok", "reason")
+
+    def __init__(self, ok: bool, reason: Optional[str] = None) -> None:
+        self._init(ok, reason)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -422,16 +423,20 @@ def _verify_mod4_two_factor(graph: BipartiteGraph, cert: EdgeSetCertificate) -> 
 # solved, certified and verified.
 
 
-@dataclass(frozen=True)
-class Problem:
-    """One row of the registry; ``solve`` accepts ``cap=`` when ``takes_cap``."""
+class Problem(Record):
+    """One row of the registry; ``solve`` accepts ``cap=`` when ``takes_cap``.
 
-    instance: type
-    parse: Optional[Callable]  # text format, read when the input is not JSON
-    solve: Callable
-    takes_cap: bool
-    certificate: type
-    verify: Callable[..., Optional[str]]
+    ``parse`` reads the problem's text format, used when the input is not
+    JSON.
+    """
+
+    __slots__ = ("instance", "parse", "solve", "takes_cap", "certificate", "verify")
+
+    def __init__(
+        self, instance: type, parse: Optional[Callable], solve: Callable, takes_cap: bool,
+        certificate: type, verify: Callable[..., Optional[str]]
+    ) -> None:
+        self._init(instance, parse, solve, takes_cap, certificate, verify)
 
 
 REGISTRY: dict[str, Problem] = {

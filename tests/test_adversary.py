@@ -1,11 +1,10 @@
 """The indistinguishable oracle pair and the query experiment."""
 
-import dataclasses
-
 import pytest
 
 from basepack.core import GroundSet, check_independence_axioms
 from basepack.adversary import (
+    AdversaryPair,
     build_adversary,
     count_parity_hiding_sets,
     disagreement_masks,
@@ -141,8 +140,9 @@ class TestExperiment:
         ground = pair.ground
         kept = [h for h in pair.relaxed.descriptor["hyperplanes"] if h != [0, 1, 4, 5]]
         assert len(kept) == 3
-        tampered = dataclasses.replace(
-            pair, relaxed=paving_matroid(HyperplaneFamily.build(ground, 4, kept))
+        tampered = AdversaryPair(
+            pair.t, pair.pairing, pair.hidden_set, pair.strict,
+            relaxed=paving_matroid(HyperplaneFamily.build(ground, 4, kept)),
         )
 
         def sweeper(matroid):

@@ -1,5 +1,9 @@
-"""Ground sets, element sets, oracle queries, axiom checks, query logging, the block search."""
+"""Ground sets, element sets, oracle queries, axiom checks, query logging, the block search,
+the value records."""
 
+import copy
+import json
+import pathlib
 import random
 
 import pytest
@@ -22,13 +26,35 @@ from basepack.core import (
     with_query_log,
     Matroid,
 )
+from basepack.adversary import build_adversary, run_indistinguishability
+from basepack.certificates import (
+    ArcSetCertificate,
+    AssignmentCertificate,
+    EdgeSetCertificate,
+    PartitionCertificate,
+)
 from basepack.constructions import (
+    HyperplaneFamily,
+    PartitionOfGroundSet,
     direct_sum_all,
     free_matroid,
     graphic_matroid,
     uniform_matroid,
 )
+from basepack.fields import Matrix
+from basepack.formats import load_instance, parse_arc_list, parse_bipartite, parse_dimacs
+from basepack.gadget import DEFAULT_LABELING, default_gadget, verify_gadget
 from basepack.graphs import MultiGraph
+from basepack.instances import CommonBasesInstance, ModularInstance
+from basepack.intersection import common_bases_necessary_check, partition_into_independent
+from basepack.reductions import (
+    even_factor_to_mod4_factor,
+    mod4_factor_to_parity_bases,
+    modular_to_common_bases,
+    naesat_to_modular_trees,
+    to_partition_matroid_form,
+)
+from basepack.solvers import REGISTRY, solve_modular_bases, verify_certificate
 
 from helpers import (
     naive_bases,
@@ -376,3 +402,148 @@ def test_split_blocks_yields_the_plain_search_sequence(search):
     assert list(split_blocks(blocks, k, cap, indep)) == list(
         reference_split_blocks(blocks, k, cap, indep)
     )
+
+
+# ---------------------------------------------------------------------------
+# The immutable value records: every class built on core.Record, with its
+# fields in constructor order.
+
+RECORD_FIELDS = {
+    "GroundSet": ("size", "labels"),
+    "AxiomCheck": ("name", "passed", "witness"),
+    "AxiomReport": ("checks",),
+    "Matrix": ("field", "rows", "cols", "entries"),
+    "MultiGraph": ("vertex_count", "edges"),
+    "BipartiteGraph": ("left", "right", "edges"),
+    "Digraph": ("vertex_count", "arcs"),
+    "PartitionOfGroundSet": ("universe", "blocks"),
+    "HyperplaneFamily": ("universe", "r", "sets"),
+    "ModularInstance": ("matroid", "modules"),
+    "CommonBasesInstance": ("m1", "m2", "k"),
+    "ParityInstance": ("matroid", "pairs"),
+    "ModularTreesInstance": ("graph", "modules"),
+    "CnfFormula": ("num_vars", "clauses", "dropped_tautologies"),
+    "PartitionCertificate": ("classes",),
+    "ModularCertificate": ("first_modules", "classes"),
+    "AssignmentCertificate": ("values",),
+    "ArcSetCertificate": ("arcs",),
+    "EdgeSetCertificate": ("edges",),
+    "BlockLabeling": ("first_path", "first_copath", "second_path", "second_copath"),
+    "GadgetPair": ("ell", "labeling", "ground", "first_graph", "second_graph",
+                   "first_matroid", "second_matroid"),
+    "GadgetCertificate": ("ell", "ok_a", "witness_large", "witness_small", "ok_b",
+                          "counterexample", "feasible_bipartitions", "efgh_always_together",
+                          "i_always_opposite", "blocks_always_split_53", "elapsed_seconds"),
+    "PartitionVerdict": ("feasible", "classes"),
+    "NecessaryCheck": ("passed", "size_condition", "partitionable_1", "partitionable_2"),
+    "CommonBasesReduction": ("source", "instance", "gadgets", "module_offsets", "provenance"),
+    "SatTreesReduction": ("formula", "instance", "pos_path_module", "neg_path_module",
+                          "pos_pair_modules", "neg_pair_modules", "clause_edge_modules",
+                          "provenance"),
+    "EvenFactorReduction": ("digraph", "graph", "path_edges", "provenance"),
+    "ParityBasesReduction": ("graph", "instance", "doubled", "provenance"),
+    "PartitionFormReduction": ("source", "instance", "provenance"),
+    "AdversaryPair": ("t", "pairing", "hidden_set", "strict", "relaxed"),
+    "ExperimentReport": ("t", "hidden", "total_queries", "distinguishing_query_index",
+                         "agreement_verified", "solver_answer"),
+    "VerifyResult": ("ok", "reason"),
+    "Problem": ("instance", "parse", "solve", "takes_cap", "certificate", "verify"),
+}
+
+
+@pytest.fixture(scope="module")
+def records():
+    """One record of every class, built through the public API."""
+    golden = pathlib.Path(__file__).resolve().parent.parent / "golden"
+    ground = GroundSet(4, ("a", "b", "c", "d"))
+    formula = parse_dimacs((golden / "three_clause.cnf").read_text())
+    sat = naesat_to_modular_trees(formula)
+    modular = load_instance(json.loads((golden / "modular_u42.json").read_text()))
+    common = modular_to_common_bases(modular)
+    digraph = parse_arc_list((golden / "two_cycle.digraph").read_text())
+    bipartite = parse_bipartite((golden / "eight_cycle.bipartite").read_text())
+    pair = build_adversary(1)
+    cert = solve_modular_bases(modular)
+    out = [
+        ground,
+        check_independence_axioms(uniform_matroid(ground, 2)),
+        check_independence_axioms(uniform_matroid(ground, 2)).checks[0],
+        Matrix.build("gf:3", [[1, 2], [4, 0]]),
+        sat.instance.graph,
+        bipartite,
+        digraph,
+        PartitionOfGroundSet.build(ground, [[0, 1], [2, 3]]),
+        HyperplaneFamily.build(ground, 3, [[0, 1, 2]]),
+        modular,
+        common.instance,
+        pair.parity_instance(pair.strict),
+        sat.instance,
+        formula,
+        PartitionCertificate.from_masks(ground, (3, 12)),
+        cert,
+        AssignmentCertificate((True, False)),
+        ArcSetCertificate(frozenset({(0, 1), (1, 0)})),
+        EdgeSetCertificate(frozenset({(0, 0), (1, 1)})),
+        DEFAULT_LABELING,
+        default_gadget(1),
+        verify_gadget(default_gadget(1)),
+        partition_into_independent(uniform_matroid(ground, 2), 2),
+        common_bases_necessary_check(common.instance.m1, common.instance.m2, 2),
+        common,
+        sat,
+        even_factor_to_mod4_factor(digraph),
+        mod4_factor_to_parity_bases(bipartite),
+        to_partition_matroid_form(common.instance),
+        pair,
+        run_indistinguishability(pair, lambda matroid: None),
+        verify_certificate("modular-bases", modular, cert),
+        REGISTRY["naesat"],
+    ]
+    return {type(r).__name__: r for r in out}
+
+
+def test_every_record_class_is_sampled(records):
+    assert sorted(records) == sorted(RECORD_FIELDS)
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_FIELDS))
+def test_record_value_semantics(records, name):
+    record = records[name]
+    fields = RECORD_FIELDS[name]
+    values = [getattr(record, f) for f in fields]
+    a, b = type(record)(*values), type(record)(**dict(zip(fields, values)))
+    assert a is not b and a == b == record and not a != b
+    assert a != object() and a != records["GroundSet" if name != "GroundSet" else "Digraph"]
+    if any(isinstance(v, dict) for v in values):  # provenance maps are unhashable
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) == hash(record)
+    assert copy.copy(a) == a
+    assert repr(a).startswith(f"{name}({fields[0]}=")
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, f, None)
+        with pytest.raises(AttributeError):
+            delattr(a, f)
+        assert getattr(a, f) is getattr(record, f) or getattr(a, f) == getattr(record, f)
+    with pytest.raises(AttributeError):
+        a.not_a_field = 1
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: GroundSet(-1), ValueError, "non-negative"),
+    (lambda: GroundSet(2, ("a", "a")), ValueError, "unique"),
+    (lambda: GroundSet(3, ("a", "b")), ValueError, "label count"),
+    (lambda: Matrix.build("gf:4", [[1]]), ValueError, "must be prime"),
+    (lambda: ModularInstance(uniform_matroid(GroundSet(4), 2),
+                             PartitionOfGroundSet.build(GroundSet(2), [[0], [1]])),
+     UniverseMismatch, "different ground set"),
+    (lambda: CommonBasesInstance(uniform_matroid(GroundSet(2), 1),
+                                 uniform_matroid(GroundSet(2), 1), 0),
+     ValueError, "k must be positive"),
+], ids=["negative-size", "duplicate-labels", "label-count", "composite-modulus",
+        "modules-elsewhere", "k-zero"])
+def test_record_constructor_errors(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

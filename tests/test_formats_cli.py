@@ -1,12 +1,14 @@
 """Exchange formats, golden files, and the command-line interface."""
 
-import dataclasses
 import hashlib
 import io
 import json
 import math
+import os
 import pathlib
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -30,7 +32,14 @@ from basepack.reductions import (
     naesat_to_modular_trees,
     to_partition_matroid_form,
 )
-from basepack.solvers import REGISTRY, load_certificate, solve_modular_bases, verify_certificate
+from basepack.solvers import (
+    REGISTRY,
+    Problem,
+    load_certificate,
+    solve_modular_bases,
+    solve_naesat,
+    verify_certificate,
+)
 
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "golden"
 
@@ -393,6 +402,22 @@ class TestCliExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--problem", "naesat", str(GOLDEN / "three_clause.cnf")],
+        ["axioms", str(GOLDEN / "modular_u42.json")],
+    ], ids=["solve", "axioms"])
+    def test_negative_cap_is_usage_error(self, argv, monkeypatch, capsys):
+        code, out, err = run_cli(
+            argv[:1] + ["--cap", "-1"] + argv[1:], monkeypatch=monkeypatch, capsys=capsys
+        )
+        assert code == 2 and out == ""
+        assert "--cap" in err and "non-negative" in err
+        code, out, err = run_cli(
+            argv[:1] + ["--cap", "0"] + argv[1:], monkeypatch=monkeypatch, capsys=capsys
+        )
+        assert code == 3 and out == ""
+        assert "exceeds cap 0" in err
+
     @pytest.mark.parametrize("argv, text", WRONG_SCHEMA.values(), ids=WRONG_SCHEMA.keys())
     def test_wrong_schema_is_exit_two(self, argv, text, monkeypatch, capsys):
         code, out, err = run_cli(
@@ -425,7 +450,8 @@ class TestCliExitCodes:
         def broken(*args, **kwargs):
             raise RuntimeError("solver bug")
 
-        row = dataclasses.replace(REGISTRY["naesat"], solve=broken)
+        old = REGISTRY["naesat"]
+        row = Problem(old.instance, old.parse, broken, old.takes_cap, old.certificate, old.verify)
         monkeypatch.setitem(REGISTRY, "naesat", row)
         code, out, err = run_cli(
             ["solve", "--problem", "naesat", str(GOLDEN / "three_clause.cnf")],
@@ -789,6 +815,15 @@ class TestCliPipelines:
         assert code == 2 and out == ""
         assert "error:" in err
 
+    def test_axioms_names_the_missing_descriptor_key(self, monkeypatch, capsys):
+        # A modular-trees instance has no "matroid" key, so the whole
+        # document is read as the descriptor, and it has no "kind".
+        code, out, err = run_cli(
+            ["axioms", "-"], stdin_text=TREES_JSON, monkeypatch=monkeypatch, capsys=capsys
+        )
+        assert code == 2 and out == ""
+        assert err.strip() == "error: bad matroid descriptor: missing key 'kind'"
+
     def test_axioms_cli(self, monkeypatch, capsys):
         code, out, _ = run_cli(
             ["axioms", "-"],
@@ -838,3 +873,78 @@ class TestCliPipelines:
         assert {line for line in lines if " -- " in line} == {
             f"  s{s} -- t{t};" for s, t in graph.edges
         }
+
+
+# ---------------------------------------------------------------------------
+# What a command-line stage imports.  Each stage is a fresh interpreter, so
+# its wall time is mostly start-up and imports; the package loads its
+# submodules on first use and a subcommand imports only what it runs.
+
+ROOT = GOLDEN.parent
+# ``from basepack import *`` as it has always been.
+STAR_EXPORTS = [
+    "AdversaryPair", "AxiomCheck", "AxiomReport", "BipartiteGraph", "BlockLabeling",
+    "CnfFormula", "CommonBasesInstance", "DEFAULT_LABELING", "Digraph", "ElementSet",
+    "GadgetPair", "GroundSet", "HyperplaneFamily", "Matroid", "ModularInstance",
+    "ModularTreesInstance", "MultiGraph", "ParityInstance", "PartitionOfGroundSet", "QueryLog",
+    "ResourceCapExceeded", "UniverseMismatch", "adversary", "build_adversary", "build_gadget",
+    "certificates", "check_basis_axioms", "check_independence_axioms",
+    "common_bases_necessary_check", "constructions", "core", "count_parity_hiding_sets",
+    "default_gadget", "direct_sum", "direct_sum_all", "dual", "enumerate_bases", "fields",
+    "formats", "free_matroid", "gadget", "graphic_matroid", "graphs", "instances",
+    "intersection", "is_basis", "is_independent", "linear_matroid", "matroid_from_descriptor",
+    "max_common_independent", "parallel_copies", "partition_into_independent",
+    "partition_matroid", "paving_matroid", "rank", "relabel", "run_indistinguishability",
+    "search_block_labeling", "solve_common_bases", "solve_mod4_two_factor",
+    "solve_modular_bases", "solve_modular_trees", "solve_naesat", "solve_parity_bases",
+    "solve_perfect_even_factor", "solvers", "transversal_linear_representation",
+    "transversal_matroid", "truncate", "uniform_matroid", "verify_certificate", "verify_gadget",
+    "with_query_log",
+]
+
+
+def _imports(*args) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """Run ``python -X importtime *args`` from the repository root; return the
+    process and the names of the modules it imported."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], cwd=ROOT, capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120, check=False,
+    )
+    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:") and "|" in line}
+    return proc, names
+
+
+class TestStartupImports:
+    def test_cli_import_leaves_out_what_no_pipeline_stage_uses(self):
+        _, bare = _imports("-c", "pass")
+        proc, names = _imports("-c", "import basepack.cli")
+        assert proc.returncode == 0 and "basepack.cli" in names
+        assert not names & {"basepack.adversary", "basepack.intersection", "basepack.gadget"}
+        assert not {"dataclasses", "traceback"} & (names - bare)
+
+    def test_pipeline_stages_load_no_gadget(self, tmp_path):
+        proc, names = _imports("-m", "basepack.cli", "reduce", "--rule", "r2",
+                               "golden/three_clause.cnf")
+        assert proc.returncode == 0 and "basepack.reductions" in names
+        assert "basepack.gadget" not in names
+        trees = tmp_path / "trees.json"
+        trees.write_text(proc.stdout)
+        proc, names = _imports("-m", "basepack.cli", "solve", "--problem", "modular-trees",
+                               str(trees))
+        assert proc.returncode == 0 and json.loads(proc.stdout)["schema"].startswith("cert")
+        assert "basepack.solvers" in names and "basepack.gadget" not in names
+        proc, names = _imports("-m", "basepack.cli", "reduce", "--rule", "r1", str(trees))
+        assert proc.returncode == 0 and "basepack.gadget" in names
+
+    def test_star_import_exports_the_same_names(self):
+        import basepack
+
+        namespace: dict = {}
+        exec("from basepack import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(basepack.__all__) == STAR_EXPORTS
+        assert namespace["solve_naesat"] is solve_naesat
+        with pytest.raises(AttributeError):
+            basepack.no_such_name
