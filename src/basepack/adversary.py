@@ -37,13 +37,10 @@ class AdversaryPair(Record):
     same, except the hidden set and its complement.
     """
 
-    __slots__ = ("t", "pairing", "hidden_set", "strict", "relaxed")
-
-    def __init__(
-        self, t: int, pairing: PartitionOfGroundSet, hidden_set: ElementSet, strict: Matroid,
-        relaxed: Matroid
-    ) -> None:
-        self._init(t, pairing, hidden_set, strict, relaxed)
+    __slots__ = {
+        "t": "int", "pairing": "PartitionOfGroundSet", "hidden_set": "ElementSet",
+        "strict": "Matroid", "relaxed": "Matroid",
+    }
 
     @property
     def ground(self) -> GroundSet:
@@ -117,18 +114,12 @@ def count_parity_hiding_sets(t: int) -> int:
 class ExperimentReport(Record):
     """Replay record of one solver run against a hidden oracle."""
 
-    __slots__ = (
-        "t", "hidden", "total_queries", "distinguishing_query_index", "agreement_verified",
-        "solver_answer",
-    )
-
-    def __init__(
-        self, t: int, hidden: str, total_queries: int, distinguishing_query_index: Optional[int],
-        agreement_verified: bool, solver_answer: Optional[object] = None
-    ) -> None:
-        self._init(
-            t, hidden, total_queries, distinguishing_query_index, agreement_verified, solver_answer,
-        )
+    __slots__ = {
+        "t": "int", "hidden": "str", "total_queries": "int",
+        "distinguishing_query_index": "Optional[int]", "agreement_verified": "bool",
+        "solver_answer": "Optional[object]",
+    }
+    _defaults = {"solver_answer": None}
 
     def to_json(self) -> dict:
         return {

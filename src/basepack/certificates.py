@@ -46,10 +46,7 @@ class PartitionCertificate(Record):
 
     SCHEMA = "certificate/common-bases/1"
 
-    __slots__ = ("classes",)
-
-    def __init__(self, classes: tuple[ElementSet, ...]) -> None:
-        self._init(classes)
+    __slots__ = {"classes": "tuple[ElementSet, ...]"}
 
     def to_json(self) -> dict:
         return {
@@ -76,12 +73,7 @@ class ModularCertificate(Record):
 
     SCHEMA = "certificate/modular-bases/1"
 
-    __slots__ = ("first_modules", "classes")
-
-    def __init__(
-        self, first_modules: tuple[int, ...], classes: tuple[ElementSet, ElementSet]
-    ) -> None:
-        self._init(first_modules, classes)
+    __slots__ = {"first_modules": "tuple[int, ...]", "classes": "tuple[ElementSet, ElementSet]"}
 
     def to_json(self) -> dict:
         return {
@@ -116,10 +108,7 @@ class AssignmentCertificate(Record):
 
     SCHEMA = "certificate/naesat/1"
 
-    __slots__ = ("values",)
-
-    def __init__(self, values: tuple[bool, ...]) -> None:
-        self._init(values)
+    __slots__ = {"values": "tuple[bool, ...]"}
 
     def to_json(self) -> dict:
         return {
@@ -143,10 +132,7 @@ class ArcSetCertificate(Record):
 
     SCHEMA = "certificate/even-factor/1"
 
-    __slots__ = ("arcs",)
-
-    def __init__(self, arcs: frozenset[tuple[int, int]]) -> None:
-        self._init(arcs)
+    __slots__ = {"arcs": "frozenset[tuple[int, int]]"}
 
     def to_json(self) -> dict:
         return {
@@ -164,10 +150,7 @@ class EdgeSetCertificate(Record):
 
     SCHEMA = "certificate/mod4-2factor/1"
 
-    __slots__ = ("edges",)
-
-    def __init__(self, edges: frozenset[tuple[int, int]]) -> None:
-        self._init(edges)
+    __slots__ = {"edges": "frozenset[tuple[int, int]]"}
 
     def to_json(self) -> dict:
         return {

@@ -30,10 +30,7 @@ DEFAULT_REPRESENTATION_PRIME = 2147483647  # 2^31 - 1
 class PartitionOfGroundSet(Record):
     """A partition of a ground set into non-empty, disjoint, covering blocks."""
 
-    __slots__ = ("universe", "blocks")
-
-    def __init__(self, universe: GroundSet, blocks: tuple[ElementSet, ...]) -> None:
-        self._init(universe, blocks)
+    __slots__ = {"universe": "GroundSet", "blocks": "tuple[ElementSet, ...]"}
 
     @staticmethod
     def build(universe: GroundSet, blocks: Iterable[Iterable[int]]) -> "PartitionOfGroundSet":
@@ -62,10 +59,7 @@ class HyperplaneFamily(Record):
     intersections of size <= r - 2.  Avoiding these sets defines the bases
     of a paving matroid."""
 
-    __slots__ = ("universe", "r", "sets")
-
-    def __init__(self, universe: GroundSet, r: int, sets: tuple[ElementSet, ...]) -> None:
-        self._init(universe, r, sets)
+    __slots__ = {"universe": "GroundSet", "r": "int", "sets": "tuple[ElementSet, ...]"}
 
     @staticmethod
     def build(universe: GroundSet, r: int, sets: Iterable[Iterable[int]]) -> "HyperplaneFamily":

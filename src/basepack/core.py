@@ -33,24 +33,43 @@ class Record:
     """Base of the immutable value records: ground sets, graphs, instances,
     certificates and reports.
 
-    A record's fields are the names in its class's ``__slots__`` that do
-    not start with an underscore, in order; an underscored slot holds a
-    value derived from the fields.  ``__init__`` stores the fields through
-    :meth:`_init`, which then runs ``__post_init__`` to check and
-    normalize them.  Records of one class are equal, and hash alike, when
-    their fields are; setting or deleting an attribute raises
-    AttributeError.
+    A record declares its fields once, as a ``__slots__`` dict that maps
+    each field, in constructor order, to its type string; Python keeps
+    the strings as the slots' docstrings.  An underscored slot holds a
+    value derived from the fields.  ``_defaults`` maps the fields that
+    may be omitted to their values.  The one constructor binds its
+    arguments to the fields by position or by name, fills in the
+    defaults, and raises TypeError for a missing, unknown or repeated
+    field; then ``__post_init__`` checks and normalizes them.  Records
+    of one class are equal, and hash alike, when their fields are;
+    setting or deleting an attribute raises AttributeError.
     """
 
-    __slots__ = ()
+    __slots__: dict[str, str] = {}
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
 
-    def _init(self, *values: object) -> None:
-        for name, value in zip(self._fields, values):
+    def __init__(self, *args: object, **named: object) -> None:
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{self.__class__.__name__}() takes {len(fields)} fields "
+                            f"but {len(args)} were given")
+        for name in named:
+            if name not in fields or fields.index(name) < len(args):
+                problem = "multiple values for" if name in fields else "an unexpected"
+                raise TypeError(f"{self.__class__.__name__}() got {problem} field {name!r}")
+        for name, value in zip(fields, args):
             object.__setattr__(self, name, value)
+        for name in fields[len(args):]:
+            if name in named:
+                object.__setattr__(self, name, named[name])
+            elif name in self._defaults:
+                object.__setattr__(self, name, self._defaults[name])
+            else:
+                raise TypeError(f"{self.__class__.__name__}() missing field {name!r}")
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -83,10 +102,8 @@ class Record:
 class GroundSet(Record):
     """A dense ground set 0..size-1 with optional unique display labels."""
 
-    __slots__ = ("size", "labels")
-
-    def __init__(self, size: int, labels: Optional[tuple[str, ...]] = None) -> None:
-        self._init(size, labels)
+    __slots__ = {"size": "int", "labels": "Optional[tuple[str, ...]]"}
+    _defaults = {"labels": None}
 
     def __post_init__(self) -> None:
         if self.size < 0:
@@ -451,10 +468,8 @@ def enumerate_bases(
 
 
 class AxiomCheck(Record):
-    __slots__ = ("name", "passed", "witness")
-
-    def __init__(self, name: str, passed: bool, witness: Optional[tuple] = None) -> None:
-        self._init(name, passed, witness)
+    __slots__ = {"name": "str", "passed": "bool", "witness": "Optional[tuple]"}
+    _defaults = {"witness": None}
 
     def __str__(self) -> str:
         if self.passed:
@@ -463,10 +478,7 @@ class AxiomCheck(Record):
 
 
 class AxiomReport(Record):
-    __slots__ = ("checks",)
-
-    def __init__(self, checks: tuple[AxiomCheck, ...]) -> None:
-        self._init(checks)
+    __slots__ = {"checks": "tuple[AxiomCheck, ...]"}
 
     @property
     def ok(self) -> bool:

@@ -7,12 +7,11 @@ needs; everything is done with exact arithmetic (machine ints mod p, or
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .core import Record
 
-Entry = Union[int, Fraction]
+Entry = "int | Fraction"  # a string, so that only rational matrices import fractions
 
 RATIONALS = "q"
 
@@ -49,12 +48,10 @@ def parse_field(descriptor: str) -> tuple[str, int]:
 class Matrix(Record):
     """A dense matrix over GF(p) (field="gf:p") or the rationals (field="q")."""
 
-    __slots__ = ("field", "rows", "cols", "entries", "_field")
-
-    def __init__(
-        self, field: str, rows: int, cols: int, entries: tuple[tuple[Entry, ...], ...]
-    ) -> None:
-        self._init(field, rows, cols, entries)
+    __slots__ = {
+        "field": "str", "rows": "int", "cols": "int", "entries": "tuple[tuple[Entry, ...], ...]",
+        "_field": "tuple[str, int]",
+    }
 
     def __post_init__(self) -> None:
         """Parse the field (the one place that does) and normalize the
@@ -64,6 +61,8 @@ class Matrix(Record):
         object.__setattr__(self, "_field", (kind, p))
         if len(self.entries) != self.rows:
             raise ValueError("row count mismatch")
+        if kind == "q":
+            from fractions import Fraction
         to_entry = (lambda x: int(x) % p) if kind == "gf" else Fraction
         norm = []
         for row in self.entries:
@@ -95,7 +94,7 @@ class Matrix(Record):
                 continue
             work[rank], work[pivot] = work[pivot], work[rank]
             head = work[rank][col]
-            inv = pow(head, p - 2, p) if kind == "gf" else Fraction(1) / head
+            inv = pow(head, p - 2, p) if kind == "gf" else 1 / head
             for r in range(rank + 1, m):
                 factor = work[r][col]
                 if factor == 0:
@@ -122,7 +121,7 @@ class Matrix(Record):
             data = [list(row) for row in self.entries]
         else:
             data = [
-                [f"{Fraction(x).numerator}/{Fraction(x).denominator}" for x in row]
+                [f"{x.numerator}/{x.denominator}" for x in row]
                 for row in self.entries
             ]
         return {"field": self.field, "rows": self.rows, "cols": self.cols, "entries": data}

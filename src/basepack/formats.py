@@ -27,6 +27,13 @@ class FormatError(ValueError):
     """Malformed input file or stream."""
 
 
+def payload_error(what: str, exc: Exception) -> FormatError:
+    """A loader's KeyError, ValueError or TypeError, worded as a format error
+    about ``what``: a KeyError names the missing key."""
+    detail = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+    return FormatError(f"bad {what}: {detail}")
+
+
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse a DIMACS CNF file.
 
@@ -46,9 +53,12 @@ def parse_dimacs(text: str) -> CnfFormula:
             continue
         if token.startswith("p"):
             parts = token.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise FormatError(f"line {line_no}: malformed problem line {token!r}")
-            num_vars, num_clauses = int(parts[2]), int(parts[3])
+            try:
+                if len(parts) != 4 or parts[1] != "cnf":
+                    raise ValueError
+                num_vars, num_clauses = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise FormatError(f"line {line_no}: malformed problem line {token!r}") from None
             continue
         if num_vars is None:
             raise FormatError(f"line {line_no}: clause before problem line")
@@ -200,10 +210,8 @@ def load_matroid(descriptor: dict) -> Matroid:
     _reject_floats(descriptor)
     try:
         return matroid_from_descriptor(descriptor)
-    except KeyError as exc:
-        raise FormatError(f"bad matroid descriptor: missing key {exc.args[0]!r}") from None
-    except (ValueError, TypeError) as exc:
-        raise FormatError(f"bad matroid descriptor: {exc}") from None
+    except (KeyError, ValueError, TypeError) as exc:
+        raise payload_error("matroid descriptor", exc) from None
 
 
 def load_instance(data: dict) -> Instance:
@@ -239,7 +247,7 @@ def load_instance(data: dict) -> Instance:
         if schema == "digraph/1":
             return Digraph.from_json(data)
     except (KeyError, ValueError, TypeError) as exc:
-        raise FormatError(f"bad {schema} payload: {exc}") from None
+        raise payload_error(f"{schema} payload", exc) from None
     raise FormatError(f"unknown schema {schema!r}")
 
 

@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .core import ElementSet, GroundSet, Matroid, Record, ResourceCapExceeded, split_blocks
+from .core import ElementSet, Record, ResourceCapExceeded, split_blocks
 from .constructions import graphic_matroid
+from .formats import payload_error
 from .graphs import MultiGraph
 
 LETTERS = "abcdefghi"
@@ -56,13 +57,10 @@ class BlockLabeling(Record):
     one letter-to-edge map per graph.
     """
 
-    __slots__ = ("first_path", "first_copath", "second_path", "second_copath")
-
-    def __init__(
-        self, first_path: tuple[str, str, str], first_copath: tuple[str, str, str],
-        second_path: tuple[str, str, str], second_copath: tuple[str, str, str]
-    ) -> None:
-        self._init(first_path, first_copath, second_path, second_copath)
+    __slots__ = {
+        "first_path": "tuple[str, str, str]", "first_copath": "tuple[str, str, str]",
+        "second_path": "tuple[str, str, str]", "second_copath": "tuple[str, str, str]",
+    }
 
     def __post_init__(self) -> None:
         if sorted(self.first_path) != ["a", "b", "c"]:
@@ -100,27 +98,23 @@ class BlockLabeling(Record):
 
     @staticmethod
     def from_json(data: dict) -> "BlockLabeling":
-        return BlockLabeling(
-            tuple(data["first_path"]),
-            tuple(data["first_copath"]),
-            tuple(data["second_path"]),
-            tuple(data["second_copath"]),
-        )
+        """Read the four label orders; malformed JSON is a FormatError."""
+        try:
+            if not isinstance(data, dict):
+                raise TypeError("expected a JSON object")
+            return BlockLabeling(*(tuple(data[name]) for name in BlockLabeling._fields))
+        except (KeyError, ValueError, TypeError) as exc:
+            raise payload_error("gadget labeling", exc) from None
 
 
 class GadgetPair(Record):
     """An ell-block instantiation of a certified block labeling."""
 
-    __slots__ = (
-        "ell", "labeling", "ground", "first_graph", "second_graph", "first_matroid",
-        "second_matroid",
-    )
-
-    def __init__(
-        self, ell: int, labeling: BlockLabeling, ground: GroundSet, first_graph: MultiGraph,
-        second_graph: MultiGraph, first_matroid: Matroid, second_matroid: Matroid
-    ) -> None:
-        self._init(ell, labeling, ground, first_graph, second_graph, first_matroid, second_matroid)
+    __slots__ = {
+        "ell": "int", "labeling": "BlockLabeling", "ground": "GroundSet",
+        "first_graph": "MultiGraph", "second_graph": "MultiGraph", "first_matroid": "Matroid",
+        "second_matroid": "Matroid",
+    }
 
     def element(self, block: int, letter: str) -> int:
         return 9 * block + LETTERS.index(letter)
@@ -182,23 +176,13 @@ def build_gadget(labeling: BlockLabeling, ell: int) -> GadgetPair:
 class GadgetCertificate(Record):
     """Outcome of the exhaustive bipartition search over a gadget pair."""
 
-    __slots__ = (
-        "ell", "ok_a", "witness_large", "witness_small", "ok_b", "counterexample",
-        "feasible_bipartitions", "efgh_always_together", "i_always_opposite",
-        "blocks_always_split_53", "elapsed_seconds",
-    )
-
-    def __init__(
-        self, ell: int, ok_a: bool, witness_large: Optional[ElementSet],
-        witness_small: Optional[ElementSet], ok_b: bool,
-        counterexample: Optional[tuple[ElementSet, ElementSet]], feasible_bipartitions: int,
-        efgh_always_together: bool, i_always_opposite: bool, blocks_always_split_53: bool,
-        elapsed_seconds: float
-    ) -> None:
-        self._init(
-            ell, ok_a, witness_large, witness_small, ok_b, counterexample, feasible_bipartitions,
-            efgh_always_together, i_always_opposite, blocks_always_split_53, elapsed_seconds,
-        )
+    __slots__ = {
+        "ell": "int", "ok_a": "bool", "witness_large": "Optional[ElementSet]",
+        "witness_small": "Optional[ElementSet]", "ok_b": "bool",
+        "counterexample": "Optional[tuple[ElementSet, ElementSet]]",
+        "feasible_bipartitions": "int", "efgh_always_together": "bool",
+        "i_always_opposite": "bool", "blocks_always_split_53": "bool", "elapsed_seconds": "float",
+    }
 
     @property
     def ok(self) -> bool:

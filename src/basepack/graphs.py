@@ -58,10 +58,7 @@ class MultiGraph(Record):
     and double as the ground-set labels of the graphic matroid.
     """
 
-    __slots__ = ("vertex_count", "edges")
-
-    def __init__(self, vertex_count: int, edges: tuple[tuple[int, int, str], ...]) -> None:
-        self._init(vertex_count, edges)
+    __slots__ = {"vertex_count": "int", "edges": "tuple[tuple[int, int, str], ...]"}
 
     @staticmethod
     def build(vertex_count: int, edges: Iterable) -> "MultiGraph":
@@ -132,12 +129,7 @@ class MultiGraph(Record):
 class BipartiteGraph(Record):
     """A bipartite graph (S, T; E) with E as (left, right) index pairs."""
 
-    __slots__ = ("left", "right", "edges")
-
-    def __init__(
-        self, left: GroundSet, right: GroundSet, edges: frozenset[tuple[int, int]]
-    ) -> None:
-        self._init(left, right, edges)
+    __slots__ = {"left": "GroundSet", "right": "GroundSet", "edges": "frozenset[tuple[int, int]]"}
 
     @staticmethod
     def build(
@@ -235,10 +227,7 @@ def augment(adj: Sequence[Sequence[int]], match_right: dict[int, int], s: int) -
 class Digraph(Record):
     """A loopless directed graph; arcs are (tail, head) pairs."""
 
-    __slots__ = ("vertex_count", "arcs")
-
-    def __init__(self, vertex_count: int, arcs: tuple[tuple[int, int], ...]) -> None:
-        self._init(vertex_count, arcs)
+    __slots__ = {"vertex_count": "int", "arcs": "tuple[tuple[int, int], ...]"}
 
     @staticmethod
     def build(vertex_count: int, arcs: Iterable[tuple[int, int]]) -> "Digraph":

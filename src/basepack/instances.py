@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .core import GroundSet, Matroid, Record, UniverseMismatch
+from .core import GroundSet, Record, UniverseMismatch
 from .constructions import PartitionOfGroundSet, graphic_matroid
-from .graphs import MultiGraph
 
 
 class ModularInstance(Record):
@@ -20,10 +19,7 @@ class ModularInstance(Record):
     Asks: partition the ground set into two bases, each a union of modules.
     """
 
-    __slots__ = ("matroid", "modules")
-
-    def __init__(self, matroid: Matroid, modules: PartitionOfGroundSet) -> None:
-        self._init(matroid, modules)
+    __slots__ = {"matroid": "Matroid", "modules": "PartitionOfGroundSet"}
 
     def __post_init__(self) -> None:
         if self.modules.universe.size != self.matroid.ground.size:
@@ -42,10 +38,8 @@ class ModularInstance(Record):
 class CommonBasesInstance(Record):
     """Two matroids on a shared ground set; partition it into k common bases."""
 
-    __slots__ = ("m1", "m2", "k")
-
-    def __init__(self, m1: Matroid, m2: Matroid, k: int = 2) -> None:
-        self._init(m1, m2, k)
+    __slots__ = {"m1": "Matroid", "m2": "Matroid", "k": "int"}
+    _defaults = {"k": 2}
 
     def __post_init__(self) -> None:
         if self.m1.ground.size != self.m2.ground.size:
@@ -66,10 +60,7 @@ class ParityInstance(Record):
     not required up front; unbalanced instances are simply infeasible.
     """
 
-    __slots__ = ("matroid", "pairs")
-
-    def __init__(self, matroid: Matroid, pairs: PartitionOfGroundSet) -> None:
-        self._init(matroid, pairs)
+    __slots__ = {"matroid": "Matroid", "pairs": "PartitionOfGroundSet"}
 
     def __post_init__(self) -> None:
         if self.pairs.universe.size != self.matroid.ground.size:
@@ -97,10 +88,7 @@ class ModularTreesInstance(Record):
     representable so solvers can return a verdict instead of failing.
     """
 
-    __slots__ = ("graph", "modules")
-
-    def __init__(self, graph: MultiGraph, modules: PartitionOfGroundSet) -> None:
-        self._init(graph, modules)
+    __slots__ = {"graph": "MultiGraph", "modules": "PartitionOfGroundSet"}
 
     def __post_init__(self) -> None:
         if self.modules.universe.size != self.graph.edge_count:
@@ -132,15 +120,15 @@ class CnfFormula(Record):
     construction needs honest cycles.
     """
 
-    __slots__ = ("num_vars", "clauses", "dropped_tautologies")
-
-    def __init__(
-        self, num_vars: int, clauses: tuple[tuple[tuple[int, bool], ...], ...],
-        dropped_tautologies: int = 0
-    ) -> None:
-        self._init(num_vars, clauses, dropped_tautologies)
+    __slots__ = {
+        "num_vars": "int", "clauses": "tuple[tuple[tuple[int, bool], ...], ...]",
+        "dropped_tautologies": "int",
+    }
+    _defaults = {"dropped_tautologies": 0}
 
     def __post_init__(self) -> None:
+        if self.num_vars < 0:
+            raise ValueError("variable count must be non-negative")
         for clause in self.clauses:
             vars_seen = [v for v, _ in clause]
             if len(set(vars_seen)) != len(vars_seen):

@@ -151,10 +151,8 @@ def _augment_phase(
 class PartitionVerdict(Record):
     """Outcome of a partition-into-independent-sets attempt."""
 
-    __slots__ = ("feasible", "classes")
-
-    def __init__(self, feasible: bool, classes: Optional[tuple[ElementSet, ...]] = None) -> None:
-        self._init(feasible, classes)
+    __slots__ = {"feasible": "bool", "classes": "Optional[tuple[ElementSet, ...]]"}
+    _defaults = {"classes": None}
 
 
 def partition_into_independent(matroid: Matroid, k: int) -> PartitionVerdict:
@@ -197,12 +195,10 @@ class NecessaryCheck(Record):
     """Outcome of the counting + partition necessary condition for packing
     common bases.  Passing does not imply feasibility; failing refutes it."""
 
-    __slots__ = ("passed", "size_condition", "partitionable_1", "partitionable_2")
-
-    def __init__(
-        self, passed: bool, size_condition: bool, partitionable_1: bool, partitionable_2: bool
-    ) -> None:
-        self._init(passed, size_condition, partitionable_1, partitionable_2)
+    __slots__ = {
+        "passed": "bool", "size_condition": "bool", "partitionable_1": "bool",
+        "partitionable_2": "bool",
+    }
 
     def __str__(self) -> str:
         status = "pass" if self.passed else "fail"

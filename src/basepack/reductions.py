@@ -66,13 +66,11 @@ def _require(problem: str, instance, certificate, side: str) -> None:
 
 
 class CommonBasesReduction(Record):
-    __slots__ = ("source", "instance", "gadgets", "module_offsets", "provenance")
-
-    def __init__(
-        self, source: ModularInstance, instance: CommonBasesInstance,
-        gadgets: tuple[GadgetPair, ...], module_offsets: tuple[int, ...], provenance: dict[str, str]
-    ) -> None:
-        self._init(source, instance, gadgets, module_offsets, provenance)
+    __slots__ = {
+        "source": "ModularInstance", "instance": "CommonBasesInstance",
+        "gadgets": "tuple[GadgetPair, ...]", "module_offsets": "tuple[int, ...]",
+        "provenance": "dict[str, str]",
+    }
 
 
 def modular_to_common_bases(inst: ModularInstance) -> CommonBasesReduction:
@@ -202,21 +200,13 @@ def pull_common_to_modular(
 
 
 class SatTreesReduction(Record):
-    __slots__ = (
-        "formula", "instance", "pos_path_module", "neg_path_module", "pos_pair_modules",
-        "neg_pair_modules", "clause_edge_modules", "provenance",
-    )
-
-    def __init__(
-        self, formula: CnfFormula, instance: ModularTreesInstance, pos_path_module: tuple[int, ...],
-        neg_path_module: tuple[int, ...], pos_pair_modules: tuple[tuple[int, ...], ...],
-        neg_pair_modules: tuple[tuple[int, ...], ...],
-        clause_edge_modules: tuple[tuple[int, ...], ...], provenance: dict[str, str]
-    ) -> None:
-        self._init(
-            formula, instance, pos_path_module, neg_path_module, pos_pair_modules,
-            neg_pair_modules, clause_edge_modules, provenance,
-        )
+    __slots__ = {
+        "formula": "CnfFormula", "instance": "ModularTreesInstance",
+        "pos_path_module": "tuple[int, ...]", "neg_path_module": "tuple[int, ...]",
+        "pos_pair_modules": "tuple[tuple[int, ...], ...]",
+        "neg_pair_modules": "tuple[tuple[int, ...], ...]",
+        "clause_edge_modules": "tuple[tuple[int, ...], ...]", "provenance": "dict[str, str]",
+    }
 
 
 # (polarity, label sign, provenance word), positive first.
@@ -365,13 +355,10 @@ def pull_assignment_from_trees(
 
 
 class EvenFactorReduction(Record):
-    __slots__ = ("digraph", "graph", "path_edges", "provenance")
-
-    def __init__(
-        self, digraph: Digraph, graph: BipartiteGraph,
-        path_edges: tuple[tuple[tuple[int, int], ...], ...], provenance: dict[str, str]
-    ) -> None:
-        self._init(digraph, graph, path_edges, provenance)
+    __slots__ = {
+        "digraph": "Digraph", "graph": "BipartiteGraph",
+        "path_edges": "tuple[tuple[tuple[int, int], ...], ...]", "provenance": "dict[str, str]",
+    }
 
     @property
     def instance(self) -> BipartiteGraph:
@@ -439,13 +426,10 @@ def pull_even_factor(red: EvenFactorReduction, cert: EdgeSetCertificate) -> ArcS
 
 
 class ParityBasesReduction(Record):
-    __slots__ = ("graph", "instance", "doubled", "provenance")
-
-    def __init__(
-        self, graph: BipartiteGraph, instance: ParityInstance, doubled: BipartiteGraph,
-        provenance: dict[str, str]
-    ) -> None:
-        self._init(graph, instance, doubled, provenance)
+    __slots__ = {
+        "graph": "BipartiteGraph", "instance": "ParityInstance", "doubled": "BipartiteGraph",
+        "provenance": "dict[str, str]",
+    }
 
 
 def mod4_factor_to_parity_bases(graph: BipartiteGraph) -> Optional[ParityBasesReduction]:
@@ -528,12 +512,10 @@ def pull_factor_from_parity(
 
 
 class PartitionFormReduction(Record):
-    __slots__ = ("source", "instance", "provenance")
-
-    def __init__(
-        self, source: CommonBasesInstance, instance: CommonBasesInstance, provenance: dict[str, str]
-    ) -> None:
-        self._init(source, instance, provenance)
+    __slots__ = {
+        "source": "CommonBasesInstance", "instance": "CommonBasesInstance",
+        "provenance": "dict[str, str]",
+    }
 
 
 def to_partition_matroid_form(inst: CommonBasesInstance) -> PartitionFormReduction:

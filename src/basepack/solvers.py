@@ -28,7 +28,7 @@ from .certificates import (
     ModularCertificate,
     PartitionCertificate,
 )
-from .formats import FormatError, parse_arc_list, parse_bipartite, parse_dimacs
+from .formats import FormatError, parse_arc_list, parse_bipartite, parse_dimacs, payload_error
 from .graphs import BipartiteGraph, Digraph, two_factor_cycles, union_find
 from .instances import (
     CnfFormula,
@@ -43,10 +43,8 @@ TWO_FACTOR_CAP = DEFAULT_EXHAUSTIVE_CAP
 
 
 class VerifyResult(Record):
-    __slots__ = ("ok", "reason")
-
-    def __init__(self, ok: bool, reason: Optional[str] = None) -> None:
-        self._init(ok, reason)
+    __slots__ = {"ok": "bool", "reason": "Optional[str]"}
+    _defaults = {"reason": None}
 
     def __bool__(self) -> bool:
         return self.ok
@@ -430,13 +428,10 @@ class Problem(Record):
     JSON.
     """
 
-    __slots__ = ("instance", "parse", "solve", "takes_cap", "certificate", "verify")
-
-    def __init__(
-        self, instance: type, parse: Optional[Callable], solve: Callable, takes_cap: bool,
-        certificate: type, verify: Callable[..., Optional[str]]
-    ) -> None:
-        self._init(instance, parse, solve, takes_cap, certificate, verify)
+    __slots__ = {
+        "instance": "type", "parse": "Optional[Callable]", "solve": "Callable",
+        "takes_cap": "bool", "certificate": "type", "verify": "Callable[..., Optional[str]]",
+    }
 
 
 REGISTRY: dict[str, Problem] = {
@@ -476,7 +471,7 @@ def load_certificate(problem: str, data: dict, instance) -> object:
     try:
         return read(data, instance.ground) if hasattr(instance, "ground") else read(data)
     except (KeyError, ValueError, TypeError) as exc:
-        raise FormatError(f"bad certificate payload: {exc}") from None
+        raise payload_error("certificate payload", exc) from None
 
 
 def verify_certificate(problem: str, instance, certificate) -> VerifyResult:

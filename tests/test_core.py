@@ -2,6 +2,7 @@
 the value records."""
 
 import copy
+import inspect
 import json
 import pathlib
 import random
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from basepack.core import (
     ElementSet,
     GroundSet,
+    Record,
     ResourceCapExceeded,
     UniverseMismatch,
     check_basis_axioms,
@@ -44,7 +46,7 @@ from basepack.constructions import (
 from basepack.fields import Matrix
 from basepack.formats import load_instance, parse_arc_list, parse_bipartite, parse_dimacs
 from basepack.gadget import DEFAULT_LABELING, default_gadget, verify_gadget
-from basepack.graphs import MultiGraph
+from basepack.graphs import Digraph, MultiGraph
 from basepack.instances import CommonBasesInstance, ModularInstance
 from basepack.intersection import common_bases_necessary_check, partition_into_independent
 from basepack.reductions import (
@@ -547,3 +549,47 @@ def test_record_value_semantics(records, name):
 def test_record_constructor_errors(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+# The fields that may be omitted, with their defaults; no other class has one.
+RECORD_DEFAULTS = {
+    "GroundSet": {"labels": None},
+    "AxiomCheck": {"witness": None},
+    "VerifyResult": {"reason": None},
+    "CommonBasesInstance": {"k": 2},
+    "CnfFormula": {"dropped_tautologies": 0},
+    "PartitionVerdict": {"classes": None},
+    "ExperimentReport": {"solver_answer": None},
+}
+
+
+def test_records_declare_their_fields_once(records):
+    for name, record in records.items():
+        cls = type(record)
+        assert "__init__" not in vars(cls), name
+        assert isinstance(cls.__slots__, dict), name
+        assert all(isinstance(t, str) and t for t in cls.__slots__.values()), name
+        assert cls._defaults == RECORD_DEFAULTS.get(name, {}), name
+    assert not hasattr(Record, "_init")
+    assert inspect.getdoc(GroundSet.size) == "int"
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_DEFAULTS))
+def test_record_defaults_apply_when_omitted(records, name):
+    record, defaults = records[name], RECORD_DEFAULTS[name]
+    given = {f: getattr(record, f) for f in RECORD_FIELDS[name] if f not in defaults}
+    for built in (type(record)(*given.values()), type(record)(**given)):
+        assert {f: getattr(built, f) for f in defaults} == defaults
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GroundSet(4, None, "extra"), "GroundSet() takes 2 fields but 3 were given"),
+    (lambda: GroundSet(4, label=("a",)), "GroundSet() got an unexpected field 'label'"),
+    (lambda: Digraph(vertex_count=2), "Digraph() missing field 'arcs'"),
+    (lambda: Digraph(2, (), vertex_count=2),
+     "Digraph() got multiple values for field 'vertex_count'"),
+], ids=["too-many-positional", "unknown-keyword", "missing-field", "field-twice"])
+def test_record_binding_errors(build, message):
+    with pytest.raises(TypeError) as info:
+        build()
+    assert str(info.value) == message

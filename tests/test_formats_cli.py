@@ -49,6 +49,7 @@ def _json_text(instance) -> str:
 
 
 MODULAR_JSON = (GOLDEN / "modular_u42.json").read_text()
+GOLDEN_LABELING = json.loads((GOLDEN / "gadget_labeling.json").read_text())
 TREES_JSON = _json_text(naesat_to_modular_trees(parse_dimacs("p cnf 2 1\n1 2 0\n")).instance)
 DIGRAPH_JSON = _json_text(parse_arc_list((GOLDEN / "two_cycle.digraph").read_text()))
 BIPARTITE_JSON = _json_text(parse_bipartite((GOLDEN / "eight_cycle.bipartite").read_text()))
@@ -126,6 +127,23 @@ class TestDimacs:
     def test_empty_formula_is_parsable(self):
         formula = parse_dimacs("p cnf 3 0\n")
         assert formula.num_vars == 3 and formula.clauses == ()
+
+    def test_negative_variable_count_rejected(self):
+        with pytest.raises(FormatError, match="variable count must be non-negative"):
+            parse_dimacs("p cnf -1 0\n")
+
+    @pytest.mark.parametrize("line", ["p cnf x 0", "p cnf 2 1.5"])
+    def test_malformed_problem_line(self, line):
+        with pytest.raises(FormatError, match=f"line 1: malformed problem line '{line}'"):
+            parse_dimacs(line + "\n1 2 0\n")
+
+    @pytest.mark.parametrize("argv", [["solve", "--problem", "naesat"], ["reduce", "--rule", "r2"]],
+                             ids=["solve", "reduce-r2"])
+    def test_negative_variable_count_is_exit_two(self, argv, monkeypatch, capsys):
+        code, out, err = run_cli([*argv, "-"], stdin_text="p cnf -1 0\n",
+                                 monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 2 and out == ""
+        assert err == "error: variable count must be non-negative\n"
 
 
 class TestGraphFormats:
@@ -321,6 +339,28 @@ BAD_CERTIFICATES = {
                        {"classes": _partition_cert([0, 1])["classes"]}),
     "not-an-object": ("common-bases", None, [_partition_cert([0, 1])]),
 }
+
+
+MISSING_KEYS = {
+    "instance": (["build", "-"],
+                 json.dumps({"schema": "modular-instance/1",
+                             "matroid": {"kind": "uniform", "size": 4, "r": 2}}),
+                 "bad modular-instance/1 payload: missing key 'modules'"),
+    "certificate": (["verify", "--problem", "naesat", "--instance",
+                     str(GOLDEN / "three_clause.cnf"), "--certificate", "-"],
+                    json.dumps({"schema": "certificate/naesat/1"}),
+                    "bad certificate payload: missing key 'assignment'"),
+    "labeling": (["gadget", "verify", "--labeling", "-"], "{}",
+                 "bad gadget labeling: missing key 'first_path'"),
+}
+
+
+@pytest.mark.parametrize("case", MISSING_KEYS.values(), ids=MISSING_KEYS.keys())
+def test_loaders_name_the_missing_key(case, monkeypatch, capsys):
+    argv, text, message = case
+    code, out, err = run_cli(argv, stdin_text=text, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 class TestCertificatePayloads:
@@ -635,6 +675,20 @@ class TestCliPipelines:
         data = json.loads(out)
         assert data["ok"] and data["feasible_bipartitions"] == 4**2
 
+    @pytest.mark.parametrize("labeling, message", [
+        ({}, "missing key 'first_path'"),
+        ({**GOLDEN_LABELING, "first_path": 5}, "'int' object is not iterable"),
+        ([1], "expected a JSON object"),
+    ], ids=["empty-object", "int-path", "not-an-object"])
+    def test_malformed_gadget_labeling_is_exit_two(self, labeling, message, monkeypatch,
+                                                   capsys):
+        code, out, err = run_cli(
+            ["gadget", "verify", "--ell", "1", "--labeling", "-"], stdin_text=json.dumps(labeling),
+            monkeypatch=monkeypatch, capsys=capsys,
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: bad gadget labeling: {message}\n"
+
     def test_gadget_verify_cli_four_blocks(self, monkeypatch, capsys):
         code, out, _ = run_cli(
             ["gadget", "verify", "--ell", "4"], monkeypatch=monkeypatch, capsys=capsys
@@ -921,8 +975,9 @@ class TestStartupImports:
         _, bare = _imports("-c", "pass")
         proc, names = _imports("-c", "import basepack.cli")
         assert proc.returncode == 0 and "basepack.cli" in names
-        assert not names & {"basepack.adversary", "basepack.intersection", "basepack.gadget"}
-        assert not {"dataclasses", "traceback"} & (names - bare)
+        assert not names & {"basepack.adversary", "basepack.intersection", "basepack.gadget",
+                            "basepack.reductions"}
+        assert not {"dataclasses", "traceback", "fractions", "decimal"} & (names - bare)
 
     def test_pipeline_stages_load_no_gadget(self, tmp_path):
         proc, names = _imports("-m", "basepack.cli", "reduce", "--rule", "r2",
@@ -937,6 +992,20 @@ class TestStartupImports:
         assert "basepack.solvers" in names and "basepack.gadget" not in names
         proc, names = _imports("-m", "basepack.cli", "reduce", "--rule", "r1", str(trees))
         assert proc.returncode == 0 and "basepack.gadget" in names
+
+    def test_solve_and_verify_stages_load_no_reductions(self, tmp_path):
+        trees = tmp_path / "trees.json"
+        trees.write_text(TREES_JSON)
+        proc, names = _imports("-m", "basepack.cli", "solve", "--problem", "modular-trees",
+                               str(trees))
+        assert proc.returncode == 0 and "basepack.solvers" in names
+        assert "basepack.reductions" not in names
+        cert = tmp_path / "cert.json"
+        cert.write_text(proc.stdout)
+        proc, names = _imports("-m", "basepack.cli", "verify", "--problem", "modular-trees",
+                               "--instance", str(trees), "--certificate", str(cert))
+        assert proc.returncode == 0 and json.loads(proc.stdout)["answer"] == "VALID"
+        assert "basepack.solvers" in names and "basepack.reductions" not in names
 
     def test_star_import_exports_the_same_names(self):
         import basepack

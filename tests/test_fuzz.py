@@ -160,6 +160,16 @@ def test_cli_survives_mutated_inputs(data):
             assert code in (0, 1, 2, 3), argv
 
 
+LABELING = json.loads((GOLDEN / "gadget_labeling.json").read_text())
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(labeling=mutated(LABELING))
+def test_gadget_verify_survives_mutated_labelings(labeling):
+    code, _ = run_main(["gadget", "verify", "--ell", "1", "--labeling", "-"], json.dumps(labeling))
+    assert code in (0, 1, 2, 3)
+
+
 @st.composite
 def satisfied_formulas(draw):
     """A formula on at most four variables with an assignment that NAE-satisfies it."""
