@@ -34,6 +34,7 @@ from .formats import (
     load_matroid,
     parse_json,
     read_json,
+    read_payload,
     read_text,
 )
 from .graphs import BipartiteGraph, Digraph
@@ -142,7 +143,8 @@ def cmd_gadget(args) -> int:
         return EXIT_YES
     labeling = DEFAULT_LABELING
     if args.labeling:
-        labeling = BlockLabeling.from_json(read_json(args.labeling, sys.stdin))
+        data = read_json(args.labeling, sys.stdin)
+        labeling = read_payload(data, (BlockLabeling,), "gadget labeling")
     pair = build_gadget(labeling, args.ell)
     cert = verify_gadget(pair)
     _emit(cert.to_json(), args.pretty)

@@ -175,10 +175,11 @@ def split_blocks(
     every class it could still join; the search backtracks at once when
     one fits none, and a block that fits exactly one is placed there until
     the search backtracks past this point.  The scan goes round until every
-    unplaced block has been tested since the last forced placement.  An
-    empty class counts only while it is the last empty one (for k = 2,
-    class 1 once block 0 is placed), so class labels stay those of the
-    plain search.  Classes only grow, so by heredity these cuts remove only
+    unplaced block has been tested since the last forced placement.  A
+    block that fits one empty class fits them all, so it is forced into an
+    empty class only when that is the last empty one (for k = 2, class 1
+    once block 0 is placed), and class labels stay those of the plain
+    search.  Classes only grow, so by heredity these cuts remove only
     subtrees without a complete assignment, and the yielded sequence is the
     plain search's.  A search that never backtracks never tests an
     unplaced block.
@@ -207,27 +208,18 @@ def split_blocks(
         j, quiet = start, 0  # blocks passed since the last forced placement
         while quiet < n - start:
             if where[j] < 0:
-                block = blocks[j]
-                if opened < k - 1:
-                    # Several classes are empty: the block may open any of
-                    # them, or by heredity it fits no class at all.  Only
-                    # k > 3 gets here, as forcing starts after a backtrack,
-                    # which leaves a placed block outside class 0.
-                    if not fits(block):
-                        return -1
+                fit = -1
+                for c in range(k):
+                    if fits(classes[c] | blocks[j]):
+                        if fit >= 0:
+                            break  # two classes fit: nothing is forced
+                        fit = c
                 else:
-                    fit = -1
-                    for c in range(k):
-                        if fits(classes[c] | block):
-                            if fit >= 0:
-                                break  # two classes fit: nothing is forced
-                            fit = c
-                    else:
-                        if fit < 0:
-                            return -1
-                        place(j, fit)
-                        opened = max(opened, fit + 1)
-                        quiet = 0
+                    if fit < 0:
+                        return -1
+                    place(j, fit)
+                    opened = max(opened, fit + 1)
+                    quiet = 0
             quiet += 1
             j = j + 1 if j + 1 < n else start
         return opened

@@ -20,16 +20,25 @@ def gf(p: int) -> str:
     return f"gf:{p}"
 
 
+# Miller-Rabin with these bases decides primality exactly below 2^64.
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
+    """Deterministic Miller-Rabin; ValueError for p >= 2^64, past its proven range."""
+    if p >= 1 << 64:
+        raise ValueError(f"GF({p}): modulus must be below 2^64")
+    if p < 2 or any(p % b == 0 for b in PRIME_BASES):
+        return p in PRIME_BASES
+    d = p - 1
+    while d % 2 == 0:
+        d //= 2
+    for b in PRIME_BASES:  # b^d, squared until it reaches -1 or b^((p-1)/2)
+        x, e = pow(b, d, p), d
+        while x not in (1, p - 1) and 2 * e < p - 1:
+            x, e = x * x % p, 2 * e
+        if x != p - 1 and (x != 1 or e != d):
+            return False  # b witnesses that p is composite
     return True
 
 
@@ -68,7 +77,10 @@ class Matrix(Record):
         for row in self.entries:
             if len(row) != self.cols:
                 raise ValueError("column count mismatch")
-            norm.append(tuple(map(to_entry, row)))
+            try:
+                norm.append(tuple(map(to_entry, row)))
+            except ZeroDivisionError:
+                raise ValueError("rational entry with a zero denominator") from None
         object.__setattr__(self, "entries", tuple(norm))
 
     @staticmethod

@@ -2,18 +2,18 @@
 
 Text formats: DIMACS CNF (not-all-equal semantics documented in the
 README), digraph arc lists, bipartite edge lists.  Everything else is
-versioned JSON carrying a "schema" field; matroids travel as their
-construction descriptor trees.
+versioned JSON carrying its class's ``SCHEMA`` tag, which only
+:func:`read_payload` checks; matroids travel as descriptor trees.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional, TextIO, Union
+from typing import Optional, Sequence, TextIO
 
-from .core import GroundSet, Matroid
-from .constructions import PartitionOfGroundSet, matroid_from_descriptor
-from .graphs import BipartiteGraph, Digraph, MultiGraph
+from .core import Matroid, Record
+from .constructions import matroid_from_descriptor
+from .graphs import BipartiteGraph, Digraph
 from .instances import (
     CnfFormula,
     CommonBasesInstance,
@@ -21,6 +21,10 @@ from .instances import (
     ModularTreesInstance,
     ParityInstance,
 )
+
+# The classes load_instance reads, each tagged with its own SCHEMA.
+INSTANCES = (ModularInstance, CommonBasesInstance, ParityInstance, ModularTreesInstance,
+             BipartiteGraph, Digraph)
 
 
 class FormatError(ValueError):
@@ -90,103 +94,64 @@ def parse_dimacs(text: str) -> CnfFormula:
         raise FormatError(str(exc)) from None
 
 
-def parse_arc_list(text: str) -> Digraph:
-    """Parse "n" header then "u v" arc lines (0-indexed); '#' comments."""
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
-    if not lines:
-        raise FormatError("empty digraph file")
+def _read_rows(text: str, header: str, row: str, what: str, build):
+    """``build(*header, rows)`` over the integer rows of a text format, each
+    named by its fields ("n", "u v"); blank and '#' lines are skipped.  A bad
+    row is a FormatError naming its line; a ValueError from build becomes one."""
+    rows: list[list[int]] = []
+    for line_no, line in enumerate(text.splitlines(), 1):
+        token = line.strip()
+        if not token or token.startswith("#"):
+            continue
+        fields = row if rows else header
+        parts = token.split()
+        try:
+            if len(parts) != len(fields.split()):
+                raise ValueError
+            rows.append([int(t) for t in parts])
+        except ValueError:
+            raise FormatError(f"line {line_no}: expected {fields!r}, got {token!r}") from None
+    if not rows:
+        raise FormatError(f"empty {what} file")
     try:
-        n = int(lines[0])
-        arcs = []
-        for ln in lines[1:]:
-            u, v = ln.split()
-            arcs.append((int(u), int(v)))
-        return Digraph.build(n, arcs)
+        return build(*rows[0], rows[1:])
     except ValueError as exc:
         raise FormatError(str(exc)) from None
+
+
+def parse_arc_list(text: str) -> Digraph:
+    """Parse "n" header then "u v" arc lines (0-indexed); '#' comments."""
+    return _read_rows(text, "n", "u v", "digraph", Digraph.build)
 
 
 def parse_bipartite(text: str) -> BipartiteGraph:
     """Parse "nS nT" header then "s t" edge lines (0-indexed); '#' comments."""
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
-    if not lines:
-        raise FormatError("empty bipartite graph file")
-    try:
-        n_s, n_t = lines[0].split()
-        edges = []
-        for ln in lines[1:]:
-            s, t = ln.split()
-            edges.append((int(s), int(t)))
-        return BipartiteGraph.build(int(n_s), int(n_t), edges)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    return _read_rows(text, "nS nT", "s t", "bipartite graph", BipartiteGraph.build)
 
 
-def _labels_of(ground: GroundSet) -> Optional[list[str]]:
-    return list(ground.labels) if ground.labels is not None else None
+def read_payload(data, classes: Sequence[type], what: str, *context) -> Record:
+    """``cls.from_json(data, *context)`` for the one of ``classes`` whose
+    ``SCHEMA`` is ``data``'s "schema".  A non-object, an unknown schema and
+    a KeyError, ValueError or TypeError from the body are FormatErrors about
+    ``what``; a body error names the chosen schema when there were several.
+    """
+    if not isinstance(data, dict):
+        raise FormatError(f"bad {what}: expected a JSON object")
+    schema = data.get("schema")
+    for cls in classes:
+        if cls.SCHEMA == schema:
+            try:
+                return cls.from_json(data, *context)
+            except (KeyError, ValueError, TypeError) as exc:
+                label = what if len(classes) == 1 else f"{schema} payload"
+                raise payload_error(label, exc) from None
+    expected = " or ".join(repr(cls.SCHEMA) for cls in classes)
+    raise FormatError(f"bad {what}: schema must be {expected}")
 
 
-def _apply_labels(matroid: Matroid, labels: Optional[list[str]]) -> Matroid:
-    if labels is None:
-        return matroid
-    if not isinstance(labels, list) or not all(isinstance(t, str) for t in labels):
-        raise FormatError("labels must be a list of strings")
-    return matroid.with_labels(labels)
-
-
-Instance = Union[
-    ModularInstance,
-    CommonBasesInstance,
-    ParityInstance,
-    ModularTreesInstance,
-    BipartiteGraph,
-    Digraph,
-]
-
-
-def dump_instance(instance: Instance, provenance: Optional[dict] = None) -> dict:
-    if isinstance(instance, ModularInstance):
-        data = {
-            "schema": "modular-instance/1",
-            "matroid": instance.matroid.descriptor,
-            "modules": instance.modules.to_json(),
-            "labels": _labels_of(instance.matroid.ground),
-        }
-    elif isinstance(instance, CommonBasesInstance):
-        data = {
-            "schema": "common-bases-instance/1",
-            "m1": instance.m1.descriptor,
-            "m2": instance.m2.descriptor,
-            "k": instance.k,
-            "labels": _labels_of(instance.ground),
-        }
-    elif isinstance(instance, ParityInstance):
-        data = {
-            "schema": "parity-instance/1",
-            "matroid": instance.matroid.descriptor,
-            "pairs": instance.pairs.to_json(),
-            "labels": _labels_of(instance.matroid.ground),
-        }
-    elif isinstance(instance, ModularTreesInstance):
-        data = {
-            "schema": "modular-trees-instance/1",
-            "graph": instance.graph.to_json(),
-            "modules": instance.modules.to_json(),
-        }
-    elif isinstance(instance, BipartiteGraph):
-        data = {"schema": "bipartite-graph/1", **instance.to_json()}
-    elif isinstance(instance, Digraph):
-        data = {"schema": "digraph/1", **instance.to_json()}
-    else:
-        raise TypeError(f"cannot serialize {type(instance).__name__}")
+def dump_instance(instance: Record, provenance: Optional[dict] = None) -> dict:
+    """An instance's schema-tagged JSON, with the reduction's provenance if given."""
+    data = {"schema": instance.SCHEMA, **instance.to_json()}
     if provenance:
         data["provenance"] = provenance
     return data
@@ -214,41 +179,10 @@ def load_matroid(descriptor: dict) -> Matroid:
         raise payload_error("matroid descriptor", exc) from None
 
 
-def load_instance(data: dict) -> Instance:
-    try:
-        schema = data["schema"]
-    except (KeyError, TypeError):
-        raise FormatError("instance JSON must carry a schema field") from None
+def load_instance(data: dict) -> Record:
+    """Rebuild one of the :data:`INSTANCES` from JSON read from outside the program."""
     _reject_floats(data)
-    try:
-        if schema == "modular-instance/1":
-            matroid = _apply_labels(
-                matroid_from_descriptor(data["matroid"]), data.get("labels")
-            )
-            modules = PartitionOfGroundSet.build(matroid.ground, data["modules"])
-            return ModularInstance(matroid, modules)
-        if schema == "common-bases-instance/1":
-            labels = data.get("labels")
-            m1 = _apply_labels(matroid_from_descriptor(data["m1"]), labels)
-            m2 = _apply_labels(matroid_from_descriptor(data["m2"]), labels)
-            return CommonBasesInstance(m1, m2, data.get("k", 2))
-        if schema == "parity-instance/1":
-            matroid = _apply_labels(
-                matroid_from_descriptor(data["matroid"]), data.get("labels")
-            )
-            pairs = PartitionOfGroundSet.build(matroid.ground, data["pairs"])
-            return ParityInstance(matroid, pairs)
-        if schema == "modular-trees-instance/1":
-            graph = MultiGraph.from_json(data["graph"])
-            modules = PartitionOfGroundSet.build(graph.ground_set(), data["modules"])
-            return ModularTreesInstance(graph, modules)
-        if schema == "bipartite-graph/1":
-            return BipartiteGraph.from_json(data)
-        if schema == "digraph/1":
-            return Digraph.from_json(data)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise payload_error(f"{schema} payload", exc) from None
-    raise FormatError(f"unknown schema {schema!r}")
+    return read_payload(data, INSTANCES, "instance payload")
 
 
 def read_text(path_or_dash: str, stdin: TextIO) -> str:

@@ -30,7 +30,6 @@ from typing import Sequence
 
 from .core import ElementSet, Record, ResourceCapExceeded, split_blocks
 from .constructions import graphic_matroid
-from .formats import payload_error
 from .graphs import MultiGraph
 
 LETTERS = "abcdefghi"
@@ -56,6 +55,8 @@ class BlockLabeling(Record):
     d,g,h in the second graph.  :meth:`edge_maps` turns the orders into
     one letter-to-edge map per graph.
     """
+
+    SCHEMA = "gadget-labeling/1"
 
     __slots__ = {
         "first_path": "tuple[str, str, str]", "first_copath": "tuple[str, str, str]",
@@ -86,7 +87,7 @@ class BlockLabeling(Record):
     def to_json(self) -> dict:
         first, second = self.edge_maps()
         return {
-            "schema": "gadget-labeling/1",
+            "schema": self.SCHEMA,
             "first_path": list(self.first_path),
             "first_copath": list(self.first_copath),
             "second_path": list(self.second_path),
@@ -98,13 +99,11 @@ class BlockLabeling(Record):
 
     @staticmethod
     def from_json(data: dict) -> "BlockLabeling":
-        """Read the four label orders; malformed JSON is a FormatError."""
-        try:
-            if not isinstance(data, dict):
-                raise TypeError("expected a JSON object")
-            return BlockLabeling(*(tuple(data[name]) for name in BlockLabeling._fields))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise payload_error("gadget labeling", exc) from None
+        """Read the four label orders, each a JSON list of strings."""
+        orders = [data[name] for name in BlockLabeling._fields]
+        if not all(isinstance(o, list) and all(isinstance(t, str) for t in o) for o in orders):
+            raise ValueError("each label order must be a list of strings")
+        return BlockLabeling(*map(tuple, orders))
 
 
 class GadgetPair(Record):

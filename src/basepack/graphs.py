@@ -129,6 +129,8 @@ class MultiGraph(Record):
 class BipartiteGraph(Record):
     """A bipartite graph (S, T; E) with E as (left, right) index pairs."""
 
+    SCHEMA = "bipartite-graph/1"
+
     __slots__ = {"left": "GroundSet", "right": "GroundSet", "edges": "frozenset[tuple[int, int]]"}
 
     @staticmethod
@@ -226,6 +228,8 @@ def augment(adj: Sequence[Sequence[int]], match_right: dict[int, int], s: int) -
 
 class Digraph(Record):
     """A loopless directed graph; arcs are (tail, head) pairs."""
+
+    SCHEMA = "digraph/1"
 
     __slots__ = {"vertex_count": "int", "arcs": "tuple[tuple[int, int], ...]"}
 

@@ -2,15 +2,32 @@
 
 The packing problems all ask for a partition of a ground set into two
 bases subject to side structure: modules that must stay whole, pairs,
-or nothing at all (plain common bases of two matroids).
+or nothing at all (plain common bases of two matroids).  Each class but
+:class:`CnfFormula` names its JSON ``SCHEMA`` and reads and writes its
+body; :func:`basepack.formats.read_payload` checks the tag.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .core import GroundSet, Record, UniverseMismatch
-from .constructions import PartitionOfGroundSet, graphic_matroid
+from .core import GroundSet, Matroid, Record, UniverseMismatch
+from .constructions import PartitionOfGroundSet, graphic_matroid, matroid_from_descriptor
+from .graphs import MultiGraph
+
+
+def _labels_json(ground: GroundSet) -> Optional[list[str]]:
+    return list(ground.labels) if ground.labels is not None else None
+
+
+def _matroid_json(data: dict, key: str) -> Matroid:
+    """The matroid of descriptor ``data[key]``, over the payload's labels if it has them."""
+    matroid, labels = matroid_from_descriptor(data[key]), data.get("labels")
+    if labels is None:
+        return matroid
+    if not isinstance(labels, list) or not all(isinstance(t, str) for t in labels):
+        raise ValueError("labels must be a list of strings")
+    return matroid.with_labels(labels)
 
 
 class ModularInstance(Record):
@@ -18,6 +35,8 @@ class ModularInstance(Record):
 
     Asks: partition the ground set into two bases, each a union of modules.
     """
+
+    SCHEMA = "modular-instance/1"
 
     __slots__ = {"matroid": "Matroid", "modules": "PartitionOfGroundSet"}
 
@@ -34,9 +53,20 @@ class ModularInstance(Record):
     def ground(self) -> GroundSet:
         return self.matroid.ground
 
+    def to_json(self) -> dict:
+        return {"matroid": self.matroid.descriptor, "modules": self.modules.to_json(),
+                "labels": _labels_json(self.ground)}
+
+    @staticmethod
+    def from_json(data: dict) -> "ModularInstance":
+        matroid = _matroid_json(data, "matroid")
+        return ModularInstance(matroid, PartitionOfGroundSet.build(matroid.ground, data["modules"]))
+
 
 class CommonBasesInstance(Record):
     """Two matroids on a shared ground set; partition it into k common bases."""
+
+    SCHEMA = "common-bases-instance/1"
 
     __slots__ = {"m1": "Matroid", "m2": "Matroid", "k": "int"}
     _defaults = {"k": 2}
@@ -51,6 +81,15 @@ class CommonBasesInstance(Record):
     def ground(self) -> GroundSet:
         return self.m1.ground
 
+    def to_json(self) -> dict:
+        return {"m1": self.m1.descriptor, "m2": self.m2.descriptor, "k": self.k,
+                "labels": _labels_json(self.ground)}
+
+    @staticmethod
+    def from_json(data: dict) -> "CommonBasesInstance":
+        m1, m2 = _matroid_json(data, "m1"), _matroid_json(data, "m2")
+        return CommonBasesInstance(m1, m2, data.get("k", 2))
+
 
 class ParityInstance(Record):
     """A matroid with its ground set partitioned into pairs.
@@ -59,6 +98,8 @@ class ParityInstance(Record):
     pairs.  Unlike :class:`ModularInstance` the size-vs-rank balance is
     not required up front; unbalanced instances are simply infeasible.
     """
+
+    SCHEMA = "parity-instance/1"
 
     __slots__ = {"matroid": "Matroid", "pairs": "PartitionOfGroundSet"}
 
@@ -78,6 +119,15 @@ class ParityInstance(Record):
     def ground(self) -> GroundSet:
         return self.matroid.ground
 
+    def to_json(self) -> dict:
+        return {"matroid": self.matroid.descriptor, "pairs": self.pairs.to_json(),
+                "labels": _labels_json(self.ground)}
+
+    @staticmethod
+    def from_json(data: dict) -> "ParityInstance":
+        matroid = _matroid_json(data, "matroid")
+        return ParityInstance(matroid, PartitionOfGroundSet.build(matroid.ground, data["pairs"]))
+
 
 class ModularTreesInstance(Record):
     """A multigraph with its edge set partitioned into modules.
@@ -88,6 +138,8 @@ class ModularTreesInstance(Record):
     representable so solvers can return a verdict instead of failing.
     """
 
+    SCHEMA = "modular-trees-instance/1"
+
     __slots__ = {"graph": "MultiGraph", "modules": "PartitionOfGroundSet"}
 
     def __post_init__(self) -> None:
@@ -97,6 +149,15 @@ class ModularTreesInstance(Record):
     @property
     def ground(self) -> GroundSet:
         return self.graph.ground_set()
+
+    def to_json(self) -> dict:
+        return {"graph": self.graph.to_json(), "modules": self.modules.to_json()}
+
+    @staticmethod
+    def from_json(data: dict) -> "ModularTreesInstance":
+        graph = MultiGraph.from_json(data["graph"])
+        modules = PartitionOfGroundSet.build(graph.ground_set(), data["modules"])
+        return ModularTreesInstance(graph, modules)
 
     def shape_feasible(self) -> bool:
         return (

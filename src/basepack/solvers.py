@@ -28,7 +28,7 @@ from .certificates import (
     ModularCertificate,
     PartitionCertificate,
 )
-from .formats import FormatError, parse_arc_list, parse_bipartite, parse_dimacs, payload_error
+from .formats import FormatError, parse_arc_list, parse_bipartite, parse_dimacs, read_payload
 from .graphs import BipartiteGraph, Digraph, two_factor_cycles, union_find
 from .instances import (
     CnfFormula,
@@ -464,14 +464,8 @@ def lookup(problem: str) -> Problem:
 def load_certificate(problem: str, data: dict, instance) -> object:
     """Read a certificate's JSON, which must carry the schema of the problem's
     certificate class; set-valued ones are read over the instance's ground set."""
-    certificate = lookup(problem).certificate
-    if not isinstance(data, dict) or data.get("schema") != certificate.SCHEMA:
-        raise FormatError(f"bad certificate payload: schema must be {certificate.SCHEMA!r}")
-    read = certificate.from_json
-    try:
-        return read(data, instance.ground) if hasattr(instance, "ground") else read(data)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise payload_error("certificate payload", exc) from None
+    ground = (instance.ground,) if hasattr(instance, "ground") else ()
+    return read_payload(data, (lookup(problem).certificate,), "certificate payload", *ground)
 
 
 def verify_certificate(problem: str, instance, certificate) -> VerifyResult:

@@ -25,7 +25,7 @@ from basepack.constructions import (
     truncate,
     uniform_matroid,
 )
-from basepack.fields import Matrix, gf, incidence_matrix_gf2
+from basepack.fields import Matrix, gf, incidence_matrix_gf2, is_prime
 from basepack.graphs import BipartiteGraph, MultiGraph, augment
 
 from helpers import (
@@ -229,6 +229,33 @@ class TestLinear:
     def test_zero_column_is_loop(self):
         m = linear_matroid(Matrix.build(gf(2), [[0, 1]]))
         assert not m.indep_mask(0b01)
+
+    def test_zero_denominator_is_value_error(self):
+        with pytest.raises(ValueError, match="rational entry with a zero denominator"):
+            Matrix.build("q", [["1/2", "1/0"]])
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division_below_100000(self):
+        small = [q for q in range(2, 317) if all(q % d for d in range(2, q))]
+        for n in range(-2, 100_000):
+            expected = n >= 2 and all(n % q for q in small if q * q <= n and q != n)
+            assert is_prime(n) == expected, n
+
+    @pytest.mark.parametrize("n", [2047, 3215031751, 3825123056546413051])
+    def test_rejects_strong_pseudoprimes(self, n):
+        # Each passes the Miller-Rabin test for every prime base up to 2, 7
+        # and 23 respectively.
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1, 2**64 - 59])
+    def test_accepts_large_primes(self, p):
+        assert is_prime(p)
+
+    @pytest.mark.parametrize("p", [2**64, 2**64 + 13, 10**30 + 57])
+    def test_refuses_moduli_from_2_to_the_64(self, p):
+        with pytest.raises(ValueError, match=r"modulus must be below 2\^64"):
+            is_prime(p)
 
 
 class TestCombinators:

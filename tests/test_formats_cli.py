@@ -15,6 +15,7 @@ import pytest
 
 from basepack.cli import EXIT_INTERNAL, main
 from basepack.formats import (
+    INSTANCES,
     FormatError,
     dump_instance,
     load_instance,
@@ -22,6 +23,8 @@ from basepack.formats import (
     parse_bipartite,
     parse_dimacs,
 )
+from basepack.core import Matroid
+from basepack.gadget import BlockLabeling
 from basepack.constructions import PartitionOfGroundSet, transversal_matroid
 from basepack.graphs import BipartiteGraph
 from basepack.instances import CommonBasesInstance, ModularInstance, ParityInstance
@@ -163,6 +166,50 @@ class TestGraphFormats:
         with pytest.raises(FormatError):
             parse_bipartite("2 2\n0\n")
 
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_arc_list, "2\n0 1 5\n", "line 2: expected 'u v', got '0 1 5'"),
+        (parse_arc_list, "# two vertices\n2 2\n0 1\n", "line 2: expected 'n', got '2 2'"),
+        (parse_arc_list, "2\n\n0 x\n", "line 3: expected 'u v', got '0 x'"),
+        (parse_bipartite, "2 2\n0 1 5\n", "line 2: expected 's t', got '0 1 5'"),
+        (parse_bipartite, "2\n0 1\n", "line 1: expected 'nS nT', got '2'"),
+        (parse_bipartite, "2 2\n# edges\n0 1.5\n", "line 3: expected 's t', got '0 1.5'"),
+    ], ids=["arc-three-values", "arc-two-value-header", "arc-non-integer",
+            "bipartite-three-values", "bipartite-one-value-header", "bipartite-non-integer"])
+    def test_malformed_row_names_its_line(self, parse, text, message):
+        with pytest.raises(FormatError) as info:
+            parse(text)
+        assert str(info.value) == message
+
+
+def _golden_chain():
+    """The r2, r1 and r5 outputs on the golden formula, in chain order."""
+    trees = naesat_to_modular_trees(parse_dimacs((GOLDEN / "three_clause.cnf").read_text()))
+    common = modular_to_common_bases(trees.instance.to_modular_instance()).instance
+    return trees.instance, common, to_partition_matroid_form(common).instance
+
+
+GOLDEN_DIGRAPH = (GOLDEN / "two_cycle.digraph").read_text()
+GOLDEN_BIPARTITE = (GOLDEN / "eight_cycle.bipartite").read_text()
+
+# Every instance class, from the golden files and from each reduction's output.
+ROUND_TRIPS = {
+    "golden-modular": lambda: load_instance(json.loads(MODULAR_JSON)),
+    "golden-digraph": lambda: parse_arc_list(GOLDEN_DIGRAPH),
+    "golden-bipartite": lambda: parse_bipartite(GOLDEN_BIPARTITE),
+    "r1": lambda: _golden_chain()[1],
+    "r2": lambda: _golden_chain()[0],
+    "r3": lambda: even_factor_to_mod4_factor(parse_arc_list(GOLDEN_DIGRAPH)).graph,
+    "r4": lambda: mod4_factor_to_parity_bases(parse_bipartite(GOLDEN_BIPARTITE)).instance,
+    "r5": lambda: _golden_chain()[2],
+}
+
+
+def _field_values(instance) -> list:
+    """The instance's field values, each matroid (equal only to itself) as
+    its ground set and descriptor."""
+    values = [getattr(instance, name) for name in instance._fields]
+    return [(v.ground, v.descriptor) if isinstance(v, Matroid) else v for v in values]
+
 
 class TestInstanceJson:
     def test_golden_modular_instance(self):
@@ -201,6 +248,25 @@ class TestInstanceJson:
             mask = rng.randrange(1 << common.ground.size)
             assert common.m1.indep_mask(mask) == reloaded.m1.indep_mask(mask)
             assert common.m2.indep_mask(mask) == reloaded.m2.indep_mask(mask)
+
+    @pytest.mark.parametrize("name", sorted(ROUND_TRIPS))
+    def test_dump_and_load_round_trip(self, name):
+        instance = ROUND_TRIPS[name]()
+        text = json.dumps(dump_instance(instance))
+        reloaded = load_instance(json.loads(text))
+        assert type(reloaded) is type(instance)
+        if isinstance(instance, BipartiteGraph):  # its JSON carries no vertex labels
+            instance = BipartiteGraph.build(instance.left.size, instance.right.size, instance.edges)
+        assert _field_values(reloaded) == _field_values(instance)
+        assert json.dumps(dump_instance(reloaded)) == text
+
+    def test_round_trips_cover_every_instance_class(self):
+        assert {type(make()) for make in ROUND_TRIPS.values()} == set(INSTANCES)
+
+    def test_every_schema_is_distinct(self):
+        certificates = {row.certificate for row in REGISTRY.values()}
+        schemas = [cls.SCHEMA for cls in (*INSTANCES, *certificates, BlockLabeling)]
+        assert len(schemas) == 12 and len(set(schemas)) == 12
 
     def test_unknown_schema(self):
         with pytest.raises(FormatError, match="schema"):
@@ -350,7 +416,8 @@ MISSING_KEYS = {
                      str(GOLDEN / "three_clause.cnf"), "--certificate", "-"],
                     json.dumps({"schema": "certificate/naesat/1"}),
                     "bad certificate payload: missing key 'assignment'"),
-    "labeling": (["gadget", "verify", "--labeling", "-"], "{}",
+    "labeling": (["gadget", "verify", "--labeling", "-"],
+                 json.dumps({"schema": "gadget-labeling/1"}),
                  "bad gadget labeling: missing key 'first_path'"),
 }
 
@@ -361,6 +428,62 @@ def test_loaders_name_the_missing_key(case, monkeypatch, capsys):
     code, out, err = run_cli(argv, stdin_text=text, monkeypatch=monkeypatch, capsys=capsys)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+INSTANCE_SCHEMAS = ("'modular-instance/1' or 'common-bases-instance/1' or 'parity-instance/1' or "
+                    "'modular-trees-instance/1' or 'bipartite-graph/1' or 'digraph/1'")
+
+# The instance and certificate readers fed a non-object and a payload of an
+# unknown schema; test_malformed_gadget_labeling_is_exit_two has the labeling's.
+NOT_THE_SCHEMA = {
+    "instance-non-object": (MISSING_KEYS["instance"][0], "[1]",
+                            "bad instance payload: expected a JSON object"),
+    "instance-unknown-schema": (MISSING_KEYS["instance"][0],
+                                json.dumps({"schema": "modular-instance/2"}),
+                                f"bad instance payload: schema must be {INSTANCE_SCHEMAS}"),
+    "certificate-non-object": (MISSING_KEYS["certificate"][0], '"x1"',
+                               "bad certificate payload: expected a JSON object"),
+    "certificate-unknown-schema": (MISSING_KEYS["certificate"][0],
+                                   json.dumps({"schema": "certificate/modular-bases/1"}),
+                                   "bad certificate payload: schema must be "
+                                   "'certificate/naesat/1'"),
+}
+
+
+@pytest.mark.parametrize("case", NOT_THE_SCHEMA.values(), ids=NOT_THE_SCHEMA.keys())
+def test_readers_name_the_schema_they_expect(case, monkeypatch, capsys):
+    argv, text, message = case
+    code, out, err = run_cli(argv, stdin_text=text, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+ZERO_DENOMINATOR = {"kind": "linear",
+                    "matrix": {"field": "q", "rows": 1, "cols": 1, "entries": [["1/0"]]}}
+
+
+@pytest.mark.parametrize("argv, data, what", [
+    (["axioms", "-"], ZERO_DENOMINATOR, "matroid descriptor"),
+    (["build", "-"], {"schema": "modular-instance/1", "matroid": ZERO_DENOMINATOR,
+                      "modules": [[0]]}, "modular-instance/1 payload"),
+], ids=["axioms", "build"])
+def test_zero_denominator_is_exit_two(argv, data, what, monkeypatch, capsys):
+    code, out, err = run_cli(argv, stdin_text=json.dumps(data), monkeypatch=monkeypatch,
+                             capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: bad {what}: rational entry with a zero denominator\n"
+
+
+def test_thirty_digit_modulus_is_exit_two_at_once(monkeypatch, capsys):
+    p = 10**30 + 57  # a prime; trial division would take about 10^15 steps
+    descriptor = {"kind": "linear",
+                  "matrix": {"field": f"gf:{p}", "rows": 1, "cols": 1, "entries": [[1]]}}
+    started = time.perf_counter()
+    code, out, err = run_cli(["axioms", "-"], stdin_text=json.dumps(descriptor),
+                             monkeypatch=monkeypatch, capsys=capsys)
+    assert time.perf_counter() - started < 1
+    assert code == 2 and out == ""
+    assert err == f"error: bad matroid descriptor: GF({p}): modulus must be below 2^64\n"
 
 
 class TestCertificatePayloads:
@@ -676,10 +799,12 @@ class TestCliPipelines:
         assert data["ok"] and data["feasible_bipartitions"] == 4**2
 
     @pytest.mark.parametrize("labeling, message", [
-        ({}, "missing key 'first_path'"),
-        ({**GOLDEN_LABELING, "first_path": 5}, "'int' object is not iterable"),
+        ({}, "schema must be 'gadget-labeling/1'"),
+        ({**GOLDEN_LABELING, "first_path": 5}, "each label order must be a list of strings"),
         ([1], "expected a JSON object"),
-    ], ids=["empty-object", "int-path", "not-an-object"])
+        ({**GOLDEN_LABELING, "schema": "not-a-labeling"}, "schema must be 'gadget-labeling/1'"),
+        ({**GOLDEN_LABELING, "first_path": "abc"}, "each label order must be a list of strings"),
+    ], ids=["empty-object", "int-path", "not-an-object", "other-schema", "string-path"])
     def test_malformed_gadget_labeling_is_exit_two(self, labeling, message, monkeypatch,
                                                    capsys):
         code, out, err = run_cli(
