@@ -154,8 +154,105 @@ def mask_of(members: Iterable[int]) -> int:
     return m
 
 
+def is_string_list(value: object) -> bool:
+    """Whether a JSON value is a list of strings, as every label list must be."""
+    return isinstance(value, list) and all(isinstance(t, str) for t in value)
+
+
+class Gf2Basis:
+    """A class state for :func:`split_blocks`: one incremental echelon
+    basis over GF(2) per table of element vectors.  A block fits when each
+    basis stays independent with the block's vectors added.
+
+    Each table maps a block mask to the vectors of its elements; one
+    search shares its tables between the classes.  A basis maps each
+    pivot, the bit length of one of its vectors, to that vector.  A new
+    vector is reduced by the basis vector whose pivot is its bit length
+    until it is zero (dependent) or its bit length is a free pivot, so a
+    test costs O(|block|) reductions.  :meth:`undo` drops the pivots of the
+    latest :meth:`add` still in force.
+    """
+
+    __slots__ = ("tables", "bases", "added")
+
+    def __init__(self, tables: Sequence[dict[int, tuple[int, ...]]]):
+        self.tables = tables
+        self.bases: list[dict[int, int]] = [{} for _ in tables]
+        self.added: list[list[tuple[dict[int, int], int]]] = []  # (basis, pivot) pairs per add
+
+    @staticmethod
+    def states(k: int, blocks: Iterable[int], *vectors: Sequence[int]) -> list["Gf2Basis"]:
+        """Fresh states for ``k`` classes, one basis per list that gives
+        each element's vector."""
+        tables = [{b: tuple([vec[e] for e in bits_of(b)]) for b in blocks} for vec in vectors]
+        return [Gf2Basis(tables) for _ in range(k)]
+
+    def _extend(self, block: int) -> Optional[list[tuple[dict[int, int], int]]]:
+        """Add the block's vectors; the (basis, pivot) pairs placed, or None,
+        with nothing placed, when they are dependent."""
+        placed: list[tuple[dict[int, int], int]] = []
+        for table, basis in zip(self.tables, self.bases):
+            get = basis.get
+            for v in table[block]:
+                top = v.bit_length()  # 0, never a pivot, once v is reduced to zero
+                w = get(top)
+                while w is not None:
+                    v ^= w
+                    top = v.bit_length()
+                    w = get(top)
+                if not top:
+                    _drop(placed)
+                    return None
+                basis[top] = v
+                placed.append((basis, top))
+        return placed
+
+    def fits(self, block: int) -> bool:
+        placed = self._extend(block)
+        if placed is None:
+            return False
+        _drop(placed)
+        return True
+
+    def add(self, block: int) -> None:
+        """Add a block that fits."""
+        self.added.append(self._extend(block))
+
+    def undo(self) -> None:
+        _drop(self.added.pop())
+
+
+def _drop(placed: list[tuple[dict[int, int], int]]) -> None:
+    for basis, pivot in placed:
+        del basis[pivot]
+
+
+class _MaskState:
+    """The class state behind a plain hereditary ``indep(mask)``."""
+
+    __slots__ = ("indep", "mask", "before")
+
+    def __init__(self, indep: Callable[[int], bool]):
+        self.indep = indep
+        self.mask = 0
+        self.before: list[int] = []  # the class mask before each add still in force
+
+    def fits(self, block: int) -> bool:
+        return self.indep(self.mask | block)
+
+    def add(self, block: int) -> None:
+        self.before.append(self.mask)
+        self.mask |= block
+
+    def undo(self) -> None:
+        self.mask = self.before.pop()
+
+
 def split_blocks(
-    blocks: Sequence[int], k: int, cap: int, indep: Callable[[int], bool]
+    blocks: Sequence[int],
+    k: int,
+    cap: int,
+    indep: Callable[[int], bool] | Sequence[Gf2Basis],
 ) -> Iterator[tuple[int, ...]]:
     """Yield every assignment of the disjoint ``blocks`` masks to ``k`` classes.
 
@@ -164,12 +261,19 @@ def split_blocks(
     classes in index order; block 0 goes to class 0 and a block may open
     only the lowest empty class, so each partition is met once up to
     renaming its classes.  A grown class must hold at most ``cap``
-    elements and pass ``indep`` (checked in that order), else the search
-    backtracks.  Yields the class masks of each complete assignment,
-    depth-first with an explicit stack, so the block count is not bounded
-    by the recursion limit.
+    elements and pass the independence test (checked in that order), else
+    the search backtracks.  Yields the class masks of each complete
+    assignment, depth-first with an explicit stack, so the block count is
+    not bounded by the recursion limit.
 
-    ``indep`` must be hereditary: if it rejects a mask, it rejects every
+    The test is asked through one state per class: ``fits(block)`` says
+    whether the class may take the block, ``add(block)`` puts a fitting
+    block in, and ``undo()`` takes the latest added block out again; the
+    search undoes in stack order.  ``indep`` is either ``k`` such states,
+    such as :meth:`Gf2Basis.states`, or a plain ``indep(mask)`` on the
+    grown class mask, which a few-line adapter turns into states.
+
+    The test must be hereditary: if it rejects a class, it rejects every
     superset.  From the search's first dead end on, each placement is
     followed by forced placement.  Every unplaced block is tested against
     every class it could still join; the search backtracks at once when
@@ -185,18 +289,18 @@ def split_blocks(
     unplaced block.
     """
     n = len(blocks)
+    states = [_MaskState(indep) for _ in range(k)] if callable(indep) else indep
     classes = [0] * k
     where = [-1] * n  # class holding block i, -1 while unplaced
     trail: list[int] = []  # placed blocks, chosen and forced, in placement order
     chosen: list[tuple[int, int, int]] = []  # (block, trail length, classes opened) per choice
     opened = 0  # classes in use; they are always 0..opened-1
     propagating = False  # set at the first dead end
-
-    def fits(mask: int) -> bool:
-        return mask.bit_count() <= cap and indep(mask)
+    tests = [state.fits for state in states]  # bound once; the tests are the hot path
 
     def place(i: int, c: int) -> None:
         classes[c] |= blocks[i]
+        states[c].add(blocks[i])
         where[i] = c
         trail.append(i)
 
@@ -210,7 +314,7 @@ def split_blocks(
             if where[j] < 0:
                 fit = -1
                 for c in range(k):
-                    if fits(classes[c] | blocks[j]):
+                    if (classes[c] | blocks[j]).bit_count() <= cap and tests[c](blocks[j]):
                         if fit >= 0:
                             break  # two classes fit: nothing is forced
                         fit = c
@@ -233,7 +337,9 @@ def split_blocks(
         else:
             block = blocks[i]
             limit = min(opened + 1, k)
-            while c < limit and not fits(classes[c] | block):
+            while c < limit and not (
+                (classes[c] | block).bit_count() <= cap and tests[c](block)
+            ):
                 c += 1
             if c < limit:
                 chosen.append((i, len(trail), opened))
@@ -253,6 +359,7 @@ def split_blocks(
         while len(trail) > mark:
             j = trail.pop()
             classes[where[j]] ^= blocks[j]
+            states[where[j]].undo()
             where[j] = -1
 
 

@@ -28,7 +28,7 @@ import itertools
 import time
 from typing import Sequence
 
-from .core import ElementSet, Record, ResourceCapExceeded, split_blocks
+from .core import ElementSet, Gf2Basis, Record, ResourceCapExceeded, is_string_list, split_blocks
 from .constructions import graphic_matroid
 from .graphs import MultiGraph
 
@@ -101,7 +101,7 @@ class BlockLabeling(Record):
     def from_json(data: dict) -> "BlockLabeling":
         """Read the four label orders, each a JSON list of strings."""
         orders = [data[name] for name in BlockLabeling._fields]
-        if not all(isinstance(o, list) and all(isinstance(t, str) for t in o) for o in orders):
+        if not all(map(is_string_list, orders)):
             raise ValueError("each label order must be a list of strings")
         return BlockLabeling(*map(tuple, orders))
 
@@ -224,6 +224,8 @@ def verify_gadget(pair: GadgetPair, stop_on_violation: bool = False) -> GadgetCe
     two classes independent in both matroids, the first element's side
     fixed (conditions (a) and (b) are symmetric under swapping the
     classes), and checks the sizes and the per-block structure of each.
+    A class is a forest in each graph iff its edges' incidence vectors are
+    independent, so each class keeps a :class:`Gf2Basis` per graph.
     Refuses ell > VERIFY_ELL_CAP.
     """
     ell = pair.ell
@@ -231,8 +233,6 @@ def verify_gadget(pair: GadgetPair, stop_on_violation: bool = False) -> GadgetCe
         raise ResourceCapExceeded(f"gadget search capped at ell <= {VERIFY_ELL_CAP}")
     started = time.monotonic()
     n = 9 * ell
-    forest1 = pair.first_graph.is_forest_mask
-    forest2 = pair.second_graph.is_forest_mask
 
     block_masks = [sum(1 << (9 * j + t) for t in range(9)) for j in range(ell)]
     efgh_masks = [sum(1 << (9 * j + LETTERS.index(t)) for t in "efgh") for j in range(ell)]
@@ -248,7 +248,10 @@ def verify_gadget(pair: GadgetPair, stop_on_violation: bool = False) -> GadgetCe
     split53_ok = True
 
     singletons = [1 << e for e in range(n)]
-    for s1, s2 in split_blocks(singletons, 2, n, lambda m: forest1(m) and forest2(m)):
+    states = Gf2Basis.states(
+        2, singletons, pair.first_graph.incidence_vectors(), pair.second_graph.incidence_vectors()
+    )
+    for s1, s2 in split_blocks(singletons, 2, n, states):
         feasible += 1
         size1 = s1.bit_count()
         if {size1, n - size1} != target_sizes:

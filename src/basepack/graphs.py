@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .core import GroundSet, Record
+from .core import GroundSet, Record, is_string_list
 
 
 # The set bit positions of each byte value, for walking a mask byte by byte.
@@ -101,6 +101,59 @@ class MultiGraph(Record):
         """Edge count of a spanning forest of the edges selected by ``mask``."""
         return self.vertex_count - union_find(self.vertex_count, self.edges, mask)
 
+    def incidence_vectors(self) -> list[int]:
+        """Each edge's vertex-incidence vector over GF(2), bits u and v; a
+        self-loop's is zero.  Edges form a forest iff their vectors are
+        independent."""
+        return [1 << u ^ 1 << v for u, v, _ in self.edges]
+
+    def cut_labels(self) -> list[int]:
+        """Each edge's label in the cycle space over GF(2), from one BFS
+        spanning forest: a non-tree edge f has bit f, a tree edge the bits
+        of the non-tree edges whose fundamental cycle uses it.
+
+        Removing edges leaves the components as they were iff the edges'
+        labels are independent: they are independent in the cographic
+        matroid.  The tree edge above vertex x lies on the cycle of f iff
+        exactly one end of f is below x, so its label is the XOR, over
+        the vertices below x, of the bits of their non-tree edges.
+        """
+        n, edges = self.vertex_count, self.edges
+        adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for f, (u, v, _) in enumerate(edges):
+            adjacency[u].append((v, f))
+            adjacency[v].append((u, f))
+        up = [-1] * n  # the tree edge from each vertex to its parent
+        order: list[int] = []  # vertices, each after its parent
+        seen = [False] * n
+        for root in range(n):
+            if seen[root]:
+                continue
+            seen[root] = True
+            queue = [root]
+            for x in queue:
+                for y, f in adjacency[x]:
+                    if not seen[y]:
+                        seen[y] = True
+                        up[y] = f
+                        queue.append(y)
+            order += queue
+        tree = set(up)
+        labels = [0] * len(edges)
+        below = [0] * n  # XOR of the non-tree bits at each vertex, then in its subtree
+        for f, (u, v, _) in enumerate(edges):
+            if f not in tree:
+                labels[f] = 1 << f
+                below[u] ^= 1 << f
+                below[v] ^= 1 << f
+        for x in reversed(order):
+            f = up[x]
+            if f >= 0:
+                labels[f] = below[x]
+                u, v, _ = edges[f]
+                below[u ^ v ^ x] ^= below[x]
+        return labels
+
     def component_count(self) -> int:
         """Connected components of the whole graph."""
         return union_find(self.vertex_count, self.edges, (1 << len(self.edges)) - 1)
@@ -165,15 +218,20 @@ class BipartiteGraph(Record):
         return deg
 
     def to_json(self) -> dict:
-        return {
-            "left": self.left.size,
-            "right": self.right.size,
-            "edges": sorted([s, t] for s, t in self.edges),
-        }
+        """Side sizes and edges, and each side's vertex labels when it has them."""
+        data: dict = {"left": self.left.size, "right": self.right.size}
+        for key, side in (("left_labels", self.left), ("right_labels", self.right)):
+            if side.labels is not None:
+                data[key] = list(side.labels)
+        data["edges"] = sorted([s, t] for s, t in self.edges)
+        return data
 
     @staticmethod
     def from_json(data: dict) -> "BipartiteGraph":
-        return BipartiteGraph.build(data["left"], data["right"], data["edges"])
+        labels = [data.get("left_labels"), data.get("right_labels")]
+        if not all(side is None or is_string_list(side) for side in labels):
+            raise ValueError("vertex labels must be a list of strings")
+        return BipartiteGraph.build(data["left"], data["right"], data["edges"], *labels)
 
     def to_dot(self, name: str = "G") -> str:
         lines = [f"graph {name} {{", "  rankdir=LR;"]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .core import GroundSet, Matroid, Record, UniverseMismatch
+from .core import GroundSet, Matroid, Record, UniverseMismatch, is_string_list
 from .constructions import PartitionOfGroundSet, graphic_matroid, matroid_from_descriptor
 from .graphs import MultiGraph
 
@@ -25,7 +25,7 @@ def _matroid_json(data: dict, key: str) -> Matroid:
     matroid, labels = matroid_from_descriptor(data[key]), data.get("labels")
     if labels is None:
         return matroid
-    if not isinstance(labels, list) or not all(isinstance(t, str) for t in labels):
+    if not is_string_list(labels):
         raise ValueError("labels must be a list of strings")
     return matroid.with_labels(labels)
 

@@ -15,6 +15,7 @@ from typing import Callable, Optional, Sequence, Union
 from .core import (
     DEFAULT_EXHAUSTIVE_CAP,
     ElementSet,
+    Gf2Basis,
     GroundSet,
     Record,
     ResourceCapExceeded,
@@ -29,7 +30,7 @@ from .certificates import (
     PartitionCertificate,
 )
 from .formats import FormatError, parse_arc_list, parse_bipartite, parse_dimacs, read_payload
-from .graphs import BipartiteGraph, Digraph, two_factor_cycles, union_find
+from .graphs import BipartiteGraph, Digraph, two_factor_cycles
 from .instances import (
     CnfFormula,
     CommonBasesInstance,
@@ -76,11 +77,15 @@ def solve_common_bases(
 
 
 def _split_modules(
-    ground: GroundSet, blocks: Sequence[ElementSet], cap: int, indep: Callable[[int], bool]
+    ground: GroundSet,
+    blocks: Sequence[ElementSet],
+    cap: int,
+    indep: Union[Callable[[int], bool], Sequence[Gf2Basis]],
 ) -> Optional[ModularCertificate]:
     """The first split of the modules into two classes of at most ``cap``
-    elements passing ``indep``; modules go in by descending size, ties by
-    index, and the largest is pinned to the first class."""
+    elements passing ``indep``, a test or class states as :func:`split_blocks`
+    takes them; modules go in by descending size, ties by index, and the
+    largest is pinned to the first class."""
     order = sorted(blocks, key=lambda b: -len(b))
     classes = next(split_blocks([b.mask for b in order], 2, cap, indep), None)
     if classes is None:
@@ -114,18 +119,20 @@ def solve_modular_trees(inst: ModularTreesInstance) -> Optional[ModularCertifica
     The modular-bases search on the graphic matroid, plus a prune: a
     class may grow only while the edges outside it, which are the other
     class and every still-unassigned module, still connect the graph.
-    This is what makes tightly packed instances tractable.
+    This is what makes tightly packed instances tractable.  Both tests
+    are GF(2)-linear, so each class keeps two :class:`Gf2Basis` bases: a
+    class is a forest iff its edges' vertex-incidence vectors are
+    independent, and the rest of the connected graph still connects iff
+    the class's cut labels (:meth:`MultiGraph.cut_labels`) are, that is,
+    iff the class is independent in the cographic matroid.
     """
     if not inst.shape_feasible():
         return None
-    graph = inst.graph
-    n_vertices, edges = graph.vertex_count, graph.edges
-    full = (1 << graph.edge_count) - 1
-
-    def grows(mask: int) -> bool:
-        return graph.is_forest_mask(mask) and union_find(n_vertices, edges, full ^ mask) == 1
-
-    return _split_modules(graph.ground_set(), inst.modules.blocks, n_vertices - 1, grows)
+    graph, blocks = inst.graph, inst.modules.blocks
+    states = Gf2Basis.states(
+        2, [b.mask for b in blocks], graph.incidence_vectors(), graph.cut_labels()
+    )
+    return _split_modules(graph.ground_set(), blocks, graph.vertex_count - 1, states)
 
 
 def solve_naesat(

@@ -366,6 +366,29 @@ def random_multigraph(rng: random.Random, n_edges: int) -> MultiGraph:
     return MultiGraph.build(n_vertices, edges)
 
 
+def random_connected_multigraph(rng: random.Random, n_vertices: int, n_edges: int) -> MultiGraph:
+    """A random spanning tree on shuffled vertices plus random extra edges,
+    self-loops and parallel edges among them, in shuffled edge order."""
+    names = list(range(n_vertices))
+    rng.shuffle(names)
+    edges = [(names[v], names[rng.randrange(v)]) for v in range(1, n_vertices)]
+    edges += [(rng.randrange(n_vertices), rng.randrange(n_vertices))
+              for _ in range(n_edges - len(edges))]
+    rng.shuffle(edges)
+    return MultiGraph.build(n_vertices, edges)
+
+
+def gf2_independent(vectors) -> bool:
+    """Whether no nonempty subset of the GF(2) vectors sums to zero, by
+    growing their span one vector at a time."""
+    span = {0}
+    for v in vectors:
+        if v in span:
+            return False
+        span |= {x ^ v for x in span}
+    return True
+
+
 def random_bipartite(rng: random.Random, n_left: int, n_right: int, p: float = 0.5) -> BipartiteGraph:
     edges = [
         (s, t)

@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from basepack.core import GroundSet, Matroid, check_independence_axioms, rank, with_query_log
+from basepack.core import (
+    Gf2Basis,
+    GroundSet,
+    Matroid,
+    check_independence_axioms,
+    rank,
+    with_query_log,
+)
 from basepack.constructions import (
     HyperplaneFamily,
     PartitionOfGroundSet,
@@ -26,12 +33,14 @@ from basepack.constructions import (
     uniform_matroid,
 )
 from basepack.fields import Matrix, gf, incidence_matrix_gf2, is_prime
-from basepack.graphs import BipartiteGraph, MultiGraph, augment
+from basepack.graphs import BipartiteGraph, MultiGraph, augment, union_find
 
 from helpers import (
     MATROID_KINDS,
+    gf2_independent,
     oracle_equal,
     random_bipartite,
+    random_connected_multigraph,
     random_matroid,
     random_multigraph,
     reference_direct_sum,
@@ -93,6 +102,39 @@ class TestGraphic:
             m = graphic_matroid(graph)
             expected = graph.vertex_count - graph.component_count()
             assert rank(m) == expected
+
+    @staticmethod
+    def small_multigraphs(seed: int):
+        """Random multigraphs of at most 8 edges, with self-loops and
+        parallel edges, half of them connected."""
+        rng = random.Random(seed)
+        for _ in range(30):
+            yield random_multigraph(rng, rng.randint(1, 8))
+            n = rng.randint(1, 6)
+            yield random_connected_multigraph(rng, n, rng.randint(n - 1, 8))
+
+    def test_incidence_vectors_are_independent_exactly_on_forests(self):
+        for graph in self.small_multigraphs(71):
+            vectors = graph.incidence_vectors()
+            for mask in range(1 << graph.edge_count):
+                chosen = [vectors[e] for e in range(graph.edge_count) if mask >> e & 1]
+                assert gf2_independent(chosen) == graph.is_forest_mask(mask)
+
+    def test_cut_labels_are_independent_exactly_where_the_rest_connects(self):
+        # Over every edge mask X: the labels of X are independent iff the
+        # edges outside X leave the components as they were (one, when the
+        # graph is connected), and a Gf2Basis state agrees.
+        connected = 0
+        for graph in self.small_multigraphs(72):
+            n, edges, m = graph.vertex_count, graph.edges, graph.edge_count
+            labels, components, full = graph.cut_labels(), graph.component_count(), (1 << m) - 1
+            connected += components == 1
+            state = Gf2Basis.states(1, range(1 << m), labels)[0]
+            for mask in range(1 << m):
+                independent = gf2_independent([labels[e] for e in range(m) if mask >> e & 1])
+                assert independent == (union_find(n, edges, full ^ mask) == components)
+                assert state.fits(mask) == independent
+        assert connected >= 30
 
     def test_agrees_with_gf2_incidence(self):
         rng = random.Random(13)

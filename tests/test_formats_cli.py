@@ -255,8 +255,6 @@ class TestInstanceJson:
         text = json.dumps(dump_instance(instance))
         reloaded = load_instance(json.loads(text))
         assert type(reloaded) is type(instance)
-        if isinstance(instance, BipartiteGraph):  # its JSON carries no vertex labels
-            instance = BipartiteGraph.build(instance.left.size, instance.right.size, instance.edges)
         assert _field_values(reloaded) == _field_values(instance)
         assert json.dumps(dump_instance(reloaded)) == text
 
@@ -344,6 +342,20 @@ class TestParserRobustness:
         )
         assert code == 2 and out == ""
         assert "labels must be a list of strings" in err
+
+    @pytest.mark.parametrize("labels", ["abcd", ["a", "b", "c", 4], {"a": 0}],
+                             ids=["string", "non-string-item", "object"])
+    def test_bipartite_vertex_labels_must_be_a_list_of_strings(self, labels, monkeypatch,
+                                                               capsys):
+        text = json.dumps({"schema": "bipartite-graph/1", "left": 4, "right": 4,
+                           "left_labels": labels, "right_labels": list("wxyz"),
+                           "edges": [[s, t] for s in range(4) for t in range(4)]})
+        code, out, err = run_cli(
+            ["solve", "--problem", "mod4-2factor", "-"], stdin_text=text,
+            monkeypatch=monkeypatch, capsys=capsys,
+        )
+        assert code == 2 and out == ""
+        assert "vertex labels must be a list of strings" in err
 
 
 class TestCertificateJson:
@@ -919,8 +931,9 @@ class TestCliPipelines:
         assert digest(["reduce", "--rule", "r1", "-"], r2)[1] == (
             "068c7ae60b71ef91e055c49796f82bbc5f47ecfa0da03fac6e892ef1a5a493d7"
         )
+        # r3 re-recorded when bipartite JSON began to carry vertex labels.
         assert digest(["reduce", "--rule", "r3", str(GOLDEN / "two_cycle.digraph")])[1] == (
-            "8ec68046adba425a982f38b183885b40952eec14ae35907985e1e013a340389f"
+            "0919eee523e8248e0f23eaec90b532ada032cf4a1c22f08183242cf4b8ff2d80"
         )
         assert digest(["emit-dot", "--gadget-ell", "3"])[1] == (
             "5407cb525f3ae8c86a31fd562d746f9dc725657bc2ded1a91d492fd7d403c218"
@@ -1039,6 +1052,25 @@ class TestCliPipelines:
             ["emit-dot", "-"], stdin_text=digraph_json, monkeypatch=monkeypatch, capsys=capsys
         )
         assert code == 0 and "0 -> 1" in out
+
+    def test_emit_dot_on_reloaded_r3_output_keeps_vertex_labels(self, monkeypatch, capsys):
+        code, reduced, _ = run_cli(
+            ["reduce", "--rule", "r3", str(GOLDEN / "two_cycle.digraph")],
+            monkeypatch=monkeypatch, capsys=capsys,
+        )
+        assert code == 0
+        code, out, _ = run_cli(
+            ["emit-dot", "-"], stdin_text=reduced, monkeypatch=monkeypatch, capsys=capsys
+        )
+        graph = even_factor_to_mod4_factor(parse_arc_list(GOLDEN_DIGRAPH)).graph
+        assert code == 0 and out == graph.to_dot() + "\n"
+        assert '  s0 [label="v0\'", shape=box];' in out.splitlines()
+
+    def test_unlabeled_bipartite_json_still_loads(self):
+        graph = load_instance({"schema": "bipartite-graph/1", "left": 2, "right": 2,
+                               "edges": [[0, 0], [1, 1]]})
+        assert graph.left.labels is None and graph.right.labels is None
+        assert "left_labels" not in graph.to_json()
 
     def test_emit_dot_for_bipartite_instance(self, monkeypatch, capsys):
         code, out, _ = run_cli(

@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from basepack.core import ElementSet, GroundSet, ResourceCapExceeded
+from basepack import graphs
+from basepack.core import ElementSet, Gf2Basis, GroundSet, ResourceCapExceeded, split_blocks
 from basepack.certificates import (
     ArcSetCertificate,
     ModularCertificate,
@@ -47,9 +50,11 @@ from helpers import (
     naive_nae_satisfiable,
     random_bipartite,
     random_common_bases_instance,
+    random_connected_multigraph,
     random_digraph,
     random_modular_instance,
     random_partition,
+    reference_split_blocks,
 )
 
 
@@ -211,21 +216,74 @@ class TestModularTrees:
     def test_chain_formula_takes_few_forest_tests(self, monkeypatch):
         # The r2 image of (x_i or x_{i+1}), i < 30.  Plain backtracking
         # made 51,045 forest tests at 14 variables, about 4x more for
-        # every two variables; forced placement makes 9,155 here.
-        formula = CnfFormula.normalize(30, [[(i, True), (i + 1, True)] for i in range(29)])
-        inst = naesat_to_modular_trees(formula).instance
+        # every two variables; forced placement makes 9,155 here.  Each
+        # class state test is one forest test.
+        inst = naesat_to_modular_trees(chain_formula(30)).instance
         calls = 0
-        is_forest_mask = MultiGraph.is_forest_mask
+        fits = Gf2Basis.fits
 
-        def counted(graph, mask):
+        def counted(state, block):
             nonlocal calls
             calls += 1
-            return is_forest_mask(graph, mask)
+            return fits(state, block)
 
-        monkeypatch.setattr(MultiGraph, "is_forest_mask", counted)
+        monkeypatch.setattr(Gf2Basis, "fits", counted)
         cert = solve_modular_trees(inst)
         assert calls <= 25_000
         assert cert is not None and verify_certificate("modular-trees", inst, cert).ok
+
+    def test_chain_formula_makes_one_union_find_pass(self, monkeypatch):
+        # The connectivity check in shape_feasible is the only pass; the
+        # search asks its class states.  A search that rebuilt a forest per
+        # test made about 16k passes here.
+        inst = naesat_to_modular_trees(chain_formula(40)).instance
+        calls = 0
+        union_find = graphs.union_find
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return union_find(*args, **kwargs)
+
+        monkeypatch.setattr(graphs, "union_find", counted)
+        cert = solve_modular_trees(inst)
+        monkeypatch.undo()
+        assert calls <= 1
+        assert cert is not None and verify_certificate("modular-trees", inst, cert).ok
+
+
+def chain_formula(n: int) -> CnfFormula:
+    """(x_i or x_{i+1}) for i < n - 1, the chain family."""
+    return CnfFormula.normalize(n, [[(i, True), (i + 1, True)] for i in range(n - 1)])
+
+
+@st.composite
+def tight_trees_instances(draw):
+    """A random connected multigraph with 2(V - 1) edges, self-loops and
+    parallel edges allowed, and a random module partition of its edges."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 7))
+    graph = random_connected_multigraph(rng, n, 2 * (n - 1))
+    return ModularTreesInstance(graph, random_partition(rng, graph.ground_set()))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(tight_trees_instances())
+def test_modular_trees_matches_the_plain_search_with_forest_and_connectivity_tests(inst):
+    graph, blocks = inst.graph, inst.modules.blocks
+    n, edges, full = graph.vertex_count, graph.edges, (1 << graph.edge_count) - 1
+
+    def grows(mask: int) -> bool:
+        return graph.is_forest_mask(mask) and graphs.union_find(n, edges, full ^ mask) == 1
+
+    masks = [b.mask for b in sorted(blocks, key=lambda b: -len(b))]
+    expected = list(reference_split_blocks(masks, 2, n - 1, grows))
+    states = Gf2Basis.states(2, masks, graph.incidence_vectors(), graph.cut_labels())
+    assert list(split_blocks(masks, 2, n - 1, states)) == expected
+    first = [i for i, b in enumerate(blocks) if expected and b.mask & expected[0][0]]
+    assert solve_modular_trees(inst) == (
+        ModularCertificate.from_modules(graph.ground_set(), blocks, first) if expected else None
+    )
 
 
 def graphic_rank_ok(graph: MultiGraph) -> bool:
