@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .core import ElementSet, GroundSet, Matroid, Record, bits_of
 from .fields import Matrix, gf
-from .graphs import BipartiteGraph, MultiGraph, augment
+from .graphs import _BYTE_BITS, BipartiteGraph, MultiGraph, augment
 
 MIN_REPRESENTATION_PRIME = 10**6
 DEFAULT_REPRESENTATION_PRIME = 2147483647  # 2^31 - 1
@@ -333,13 +333,15 @@ def relabel(matroid: Matroid, perm: Sequence[int]) -> Matroid:
     ground = GroundSet(n, None if labels is None else tuple(labels[p] for p in perm))
     inner = matroid.indep_mask
     inner_rank = matroid.rank_mask
+    images = tuple(1 << p for p in perm)
 
     def remap(mask: int) -> int:
+        # A byte at a time, as graphs.union_find reads its masks.
         inner_mask = 0
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            inner_mask |= 1 << perm[low.bit_length() - 1]
+        for j, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) // 8, "little")):
+            if byte:
+                for b in _BYTE_BITS[byte]:
+                    inner_mask |= images[8 * j + b]
         return inner_mask
 
     desc = {"kind": "relabel", "perm": list(perm), "inner": matroid.descriptor}

@@ -109,6 +109,45 @@ def check_min_max_certificate(m1: Matroid, m2: Matroid, mask: int) -> None:
         raise AssertionError(f"r1(A) + r2(E - A) = {bound} != |I| = {len(inside)}")
 
 
+def reference_distance_layers(i1, i2, current: int, n: int):
+    """The exchange-graph layers of ``current`` by all-pairs arc tests.
+
+    Breadth-first from the sources (I + x independent in m1) up to the
+    first layer holding a sink (I + x independent in m2), which keeps
+    only its sinks; None when no sink is reachable.  Each unseen vertex
+    is tested against every vertex of the previous layer: x -> y when
+    I - y + x is independent in m2, y -> x when it is independent in m1.
+    Kept to check the engine's circuit-query layering against.
+    """
+    outside = [e for e in range(n) if not current >> e & 1]
+    inside = [e for e in range(n) if current >> e & 1]
+    sinks = {x for x in outside if i2(current | 1 << x)}
+    if not sinks:
+        return None
+    layer = [x for x in outside if i1(current | 1 << x)]
+    seen = set(layer)
+    layers = []
+    while layer:
+        hits = [x for x in layer if x in sinks]
+        if hits:
+            layers.append(hits)
+            return layers
+        layers.append(layer)
+        if len(layers) % 2:
+            nxt = [
+                y for y in inside
+                if y not in seen and any(i2((current ^ 1 << y) | 1 << x) for x in layer)
+            ]
+        else:
+            nxt = [
+                x for x in outside
+                if x not in seen and any(i1((current ^ 1 << y) | 1 << x) for y in layer)
+            ]
+        seen.update(nxt)
+        layer = nxt
+    return None
+
+
 def naive_partition_feasible(matroid: Matroid, k: int) -> bool:
     """Can the ground set be split into k independent sets?  Plain DFS."""
     n = matroid.ground.size
@@ -608,6 +647,15 @@ def reference_direct_sum(parts: list[Matroid]) -> Matroid:
             return i1(mask & low) and i2(mask >> n1)
 
         out = Matroid(GroundSet(n1 + m.ground.size), "direct-sum", indep)
+    return out
+
+
+def reference_remap(perm, mask: int) -> int:
+    """``mask`` through the permutation bit by bit: new bit i is old bit perm[i]."""
+    out = 0
+    for i in range(mask.bit_length()):
+        if mask >> i & 1:
+            out |= 1 << perm[i]
     return out
 
 

@@ -47,6 +47,7 @@ from helpers import (
     reference_dual,
     reference_matching,
     reference_rank,
+    reference_remap,
 )
 
 K4 = MultiGraph.build(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -462,6 +463,20 @@ class TestCombinators:
         assert shifted.indep_mask(0b0001)  # new 0 is the free element
         assert shifted.indep_mask(0b0011)
         assert not shifted.indep_mask(0b0110)  # two uniform elements
+
+    def test_relabel_remaps_masks_as_bit_by_bit(self):
+        rng = random.Random(151)
+        for n in (1, 7, 8, 9, 63, 64, 65, 800):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            asked = []
+            probe = Matroid(GroundSet(n), "probe", lambda mask: asked.append(mask) or True)
+            relabeled = relabel(probe, perm)
+            masks = [0, (1 << n) - 1, 1 << (n - 1)]
+            masks += [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(50)]
+            for mask in masks:
+                relabeled.indep_mask(mask)
+                assert asked[-1] == reference_remap(perm, mask)
 
     def test_relabel_requires_permutation(self):
         with pytest.raises(ValueError):

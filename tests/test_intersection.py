@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from basepack import intersection
 from basepack.core import GroundSet, Matroid, UniverseMismatch
 from basepack.constructions import (
     PartitionOfGroundSet,
@@ -25,7 +26,11 @@ from basepack.intersection import (
     partition_into_independent,
 )
 from basepack.gadget import default_gadget
-from basepack.reductions import modular_to_common_bases, naesat_to_modular_trees
+from basepack.reductions import (
+    modular_to_common_bases,
+    naesat_to_modular_trees,
+    to_partition_matroid_form,
+)
 
 from helpers import (
     check_min_max_certificate,
@@ -35,7 +40,9 @@ from helpers import (
     random_matroid,
     random_multigraph,
     random_partition,
+    reference_distance_layers,
 )
+from test_pipeline import FORMULA
 
 TRIANGLE = MultiGraph.build(3, [(0, 1), (1, 2), (2, 0)])
 
@@ -89,6 +96,48 @@ class TestMaxCommonIndependent:
         first = max_common_independent(m1, m2)
         second = max_common_independent(m1, m2)
         assert first.mask == second.mask
+
+
+def checked_layering(monkeypatch) -> list:
+    """Make the engine check each phase's layers against the all-pairs
+    reference; returns the list the checked layers are appended to."""
+    engine = intersection._distance_layers
+    phases = []
+
+    def checked(i1, i2, current, n):
+        got = engine(i1, i2, current, n)
+        assert got == reference_distance_layers(i1, i2, current, n)
+        phases.append(got)
+        return got
+
+    monkeypatch.setattr(intersection, "_distance_layers", checked)
+    return phases
+
+
+class TestLayersEqualAllPairsReference:
+    def test_every_phase_of_random_pairs(self, monkeypatch):
+        phases = checked_layering(monkeypatch)
+        rng = random.Random(139)
+        for _ in range(2000):
+            n = rng.randint(0, 10)
+            max_common_independent(random_matroid(rng, n), random_matroid(rng, n))
+        # The greedy warm start leaves a phase with paths to augment on few pairs.
+        assert sum(layers is not None for layers in phases) >= 10
+
+    def test_every_common_independent_set(self):
+        # Not only the sets the phases reach: every set independent in both.
+        rng = random.Random(149)
+        deep = 0
+        for _ in range(300):
+            n = rng.randint(4, 10)
+            m1, m2 = random_matroid(rng, n), random_matroid(rng, n)
+            i1, i2 = m1.indep_mask, m2.indep_mask
+            for mask in range(1 << n):
+                if i1(mask) and i2(mask):
+                    got = intersection._distance_layers(i1, i2, mask, n)
+                    assert got == reference_distance_layers(i1, i2, mask, n)
+                    deep += got is not None and len(got) > 1
+        assert deep >= 20
 
 
 class TestPartitionIntoIndependent:
@@ -187,32 +236,47 @@ class TestNecessaryCheck:
                 assert len(max_common_independent(m1, m2)) == naive_max_common(m1, m2)
 
 
-def counted(matroid: Matroid) -> tuple[Matroid, set[int]]:
-    """The same oracles, with every independence query's mask recorded once."""
-    seen: set[int] = set()
+def counted(matroid: Matroid) -> tuple[Matroid, list[int]]:
+    """The same oracles, with every independence query's mask logged."""
+    log: list[int] = []
     inner = matroid.indep_mask
 
     def indep(mask: int) -> bool:
-        seen.add(mask)
+        log.append(mask)
         return inner(mask)
 
-    return Matroid(matroid.ground, matroid.kind, indep, matroid.descriptor, matroid.rank_mask), seen
+    return Matroid(matroid.ground, matroid.kind, indep, matroid.descriptor, matroid.rank_mask), log
 
 
 def test_r1_instance_call_count_is_pinned():
     # The 400-element r1 instance of the golden formula: 316,570 distinct
-    # queries with one breadth-first search per augmentation, under a
-    # tenth of that with the warm start and the phases.
+    # queries with one breadth-first search per augmentation, 18,520 with
+    # the warm start and the phases, and 4,444 with layers from circuit
+    # queries and binary search.
     text = (pathlib.Path(__file__).resolve().parent.parent / "golden" / "three_clause.cnf").read_text()
     sat = naesat_to_modular_trees(parse_dimacs(text))
     inst = modular_to_common_bases(sat.instance.to_modular_instance()).instance
     assert inst.ground.size == 400
-    m1, seen1 = counted(inst.m1)
-    m2, seen2 = counted(inst.m2)
+    m1, log1 = counted(inst.m1)
+    m2, log2 = counted(inst.m2)
     got = max_common_independent(m1, m2)
     assert len(got) == 200
-    assert len(seen1) + len(seen2) <= 31_657
+    assert len(set(log1)) + len(set(log2)) <= 4_444
     assert inst.m1.is_independent(got) and inst.m2.is_independent(got)
+
+
+def test_r5_partition_call_count_is_pinned():
+    # The m1 side of the necessary check on the 800-element r5 output of
+    # the pipeline formula: 200,887 queries (with repeats) with all-pairs
+    # arc tests in the layering, 15,283 with circuit queries.
+    sat = naesat_to_modular_trees(FORMULA)
+    embed = modular_to_common_bases(sat.instance.to_modular_instance())
+    m1 = to_partition_matroid_form(embed.instance).instance.m1
+    assert m1.ground.size == 800
+    m, log = counted(m1)
+    verdict = partition_into_independent(m, 2)
+    assert verdict.feasible
+    assert len(log) <= 15_283
 
 
 class TestCountingRefutation:
@@ -221,17 +285,22 @@ class TestCountingRefutation:
         rng = random.Random(131)
         edges = [(v, v + 1) for v in range(16)]
         edges += [tuple(rng.sample(range(17), 2)) for _ in range(33)]
-        m, seen = counted(graphic_matroid(MultiGraph.build(17, edges)))
+        m, log = counted(graphic_matroid(MultiGraph.build(17, edges)))
         assert not partition_into_independent(m, 3).feasible
-        assert seen == set()
+        assert log == []
 
     def test_exactly_k_rank_elements_still_augments(self):
         # A tripled path on four vertices: 9 edges against 3 * 3, feasible.
         edges = [(0, 1), (1, 2), (2, 3)] * 3
-        m, seen = counted(graphic_matroid(MultiGraph.build(4, edges)))
+        m, log = counted(graphic_matroid(MultiGraph.build(4, edges)))
         verdict = partition_into_independent(m, 3)
         assert verdict.feasible and len(verdict.classes) == 3
-        assert seen
+        assert log
+
+    def test_more_classes_than_elements_answers_at_once(self):
+        # One copy per class would take minutes for k in the tens of thousands.
+        verdict = partition_into_independent(graphic_matroid(TRIANGLE), 10**6)
+        assert verdict.feasible and len(verdict.classes) <= 3
 
 
 STRUCTURED_KINDS = ("graphic", "transversal", "partition", "gadget")
@@ -273,3 +342,13 @@ def structured_pairs(draw):
 def test_min_max_certificate_on_structured_pairs(pair):
     m1, m2 = pair
     check_min_max_certificate(m1, m2, max_common_independent(m1, m2).mask)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(structured_pairs())
+def test_layers_equal_all_pairs_reference_on_structured_pairs(pair):
+    m1, m2 = pair
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        phases = checked_layering(monkeypatch)
+        max_common_independent(m1, m2)
+    assert phases
