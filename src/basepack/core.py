@@ -275,26 +275,30 @@ def split_blocks(
 
     The test must be hereditary: if it rejects a class, it rejects every
     superset.  From the search's first dead end on, each placement is
-    followed by forced placement.  Every unplaced block is tested against
-    every class it could still join; the search backtracks at once when
-    one fits none, and a block that fits exactly one is placed there until
-    the search backtracks past this point.  The scan goes round until every
-    unplaced block has been tested since the last forced placement.  A
-    block that fits one empty class fits them all, so it is forced into an
-    empty class only when that is the last empty one (for k = 2, class 1
-    once block 0 is placed), and class labels stay those of the plain
-    search.  Classes only grow, so by heredity these cuts remove only
-    subtrees without a complete assignment, and the yielded sequence is the
-    plain search's.  A search that never backtracks never tests an
-    unplaced block.
+    followed by one forward pass of forced placement: each unplaced block
+    after the one just placed is tested, once and in block order, against
+    every class.  The search backtracks at once when one fits none, and a
+    block that fits exactly one is placed there until the search
+    backtracks past this point.  A block that fits one empty class fits
+    them all, so it is forced into an empty class only when that is the
+    last empty one (for k = 2, class 1 once block 0 is placed), and class
+    labels stay those of the plain search.  Classes only grow, so by
+    heredity these cuts remove only subtrees without a complete
+    assignment, and the yielded sequence is the plain search's.  A search
+    that never backtracks never tests an unplaced block.
+
+    Blocks must be non-empty: the classes in use, always 0 up to some
+    index, are read off the class masks as the non-empty ones.  A zero
+    block raises ``ValueError``.
     """
+    if not all(blocks):
+        raise ValueError("split_blocks needs non-empty blocks")
     n = len(blocks)
     states = [_MaskState(indep) for _ in range(k)] if callable(indep) else indep
     classes = [0] * k
     where = [-1] * n  # class holding block i, -1 while unplaced
     trail: list[int] = []  # placed blocks, chosen and forced, in placement order
-    chosen: list[tuple[int, int, int]] = []  # (block, trail length, classes opened) per choice
-    opened = 0  # classes in use; they are always 0..opened-1
+    chosen: list[tuple[int, int]] = []  # (block, trail length) per choice
     propagating = False  # set at the first dead end
     tests = [state.fits for state in states]  # bound once; the tests are the hot path
 
@@ -304,13 +308,10 @@ def split_blocks(
         where[i] = c
         trail.append(i)
 
-    def force(start: int, opened: int) -> int:
-        """Forced placement over the unplaced blocks from ``start`` on,
-        scanned round and round until every one has been tested since the
-        last forced placement; the classes opened afterwards, or -1 when
-        some block fits no class."""
-        j, quiet = start, 0  # blocks passed since the last forced placement
-        while quiet < n - start:
+    def force(start: int) -> bool:
+        """Forced placement over the unplaced blocks from ``start`` on, each
+        tested once in block order; False when some block fits no class."""
+        for j in range(start, n):
             if where[j] < 0:
                 fit = -1
                 for c in range(k):
@@ -320,13 +321,9 @@ def split_blocks(
                         fit = c
                 else:
                     if fit < 0:
-                        return -1
+                        return False
                     place(j, fit)
-                    opened = max(opened, fit + 1)
-                    quiet = 0
-            quiet += 1
-            j = j + 1 if j + 1 < n else start
-        return opened
+        return True
 
     i = c = 0  # the block to choose a class for, and the first class to try
     while True:
@@ -336,25 +333,22 @@ def split_blocks(
             yield tuple(classes)
         else:
             block = blocks[i]
-            limit = min(opened + 1, k)
+            limit = min(k + 1 - classes.count(0), k)  # the open classes and one empty one
             while c < limit and not (
                 (classes[c] | block).bit_count() <= cap and tests[c](block)
             ):
                 c += 1
             if c < limit:
-                chosen.append((i, len(trail), opened))
+                chosen.append((i, len(trail)))
                 place(i, c)
-                opened = max(opened, c + 1)
-                if propagating:
-                    opened = force(i + 1, opened)
-                if opened >= 0:
+                if not propagating or force(i + 1):
                     i, c = i + 1, 0
                     continue
             else:
                 propagating = True
         if not chosen:
             return
-        i, mark, opened = chosen.pop()
+        i, mark = chosen.pop()
         c = where[i] + 1
         while len(trail) > mark:
             j = trail.pop()

@@ -217,7 +217,7 @@ class GadgetCertificate(Record):
         }
 
 
-def verify_gadget(pair: GadgetPair, stop_on_violation: bool = False) -> GadgetCertificate:
+def verify_gadget(pair: GadgetPair) -> GadgetCertificate:
     """Exhaustively certify conditions (a) and (b) for a gadget pair.
 
     Enumerates with :func:`split_blocks` every split of the elements into
@@ -257,8 +257,6 @@ def verify_gadget(pair: GadgetPair, stop_on_violation: bool = False) -> GadgetCe
         if {size1, n - size1} != target_sizes:
             if violation is None:
                 violation = (s1, s2)
-            if stop_on_violation:
-                break
         elif witness is None:
             witness = (s1, s2) if size1 == 5 * ell else (s2, s1)
         agreed_class = None
@@ -377,10 +375,10 @@ def search_block_labeling() -> BlockLabeling:
                     )
                     if not local_block_forcing(candidate):
                         continue
-                    cert1 = verify_gadget(build_gadget(candidate, 1), stop_on_violation=True)
+                    cert1 = verify_gadget(build_gadget(candidate, 1))
                     if not (cert1.ok and cert1.structure_ok):
                         continue
-                    cert2 = verify_gadget(build_gadget(candidate, 2), stop_on_violation=True)
+                    cert2 = verify_gadget(build_gadget(candidate, 2))
                     if cert2.ok and cert2.structure_ok:
                         return candidate
     raise RuntimeError("no block labeling satisfies the gadget constraints")

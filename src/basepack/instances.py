@@ -237,10 +237,3 @@ class CnfFormula(Record):
             if len(values) == 1:
                 return False
         return True
-
-    def to_dimacs(self) -> str:
-        lines = [f"p cnf {self.num_vars} {len(self.clauses)}"]
-        for clause in self.clauses:
-            lits = [(v + 1) if positive else -(v + 1) for v, positive in clause]
-            lines.append(" ".join(str(x) for x in lits) + " 0")
-        return "\n".join(lines) + "\n"

@@ -322,15 +322,13 @@ def _verify_common_bases(inst: CommonBasesInstance, cert: PartitionCertificate) 
     return None
 
 
-def _verify_modular_partition(
-    blocks: Sequence[ElementSet],
-    cert: ModularCertificate,
-    full_mask: int,
-    basis_size: int,
-    indep: Callable[[int], bool],
+def _verify_modular_bases(
+    inst: Union[ModularInstance, ParityInstance], cert: ModularCertificate
 ) -> Optional[str]:
-    """Two classes of ``basis_size`` independent elements, each a union of modules."""
-    bad = _verify_partition(cert.classes, 2, full_mask)
+    """Two bases of the matroid, each a union of modules."""
+    m = inst.matroid
+    blocks = inst.modules.blocks
+    bad = _verify_partition(cert.classes, 2, m.ground.full_mask)
     if bad:
         return bad
     union = 0
@@ -345,28 +343,15 @@ def _verify_modular_partition(
         if inside != 0 and inside != block.mask:
             return f"module {i} is split between classes"
     for idx, c in enumerate(cert.classes):
-        if len(c) != basis_size or not indep(c.mask):
+        if len(c) != m.full_rank or not m.indep_mask(c.mask):
             return f"class {idx} is not a basis"
     return None
-
-
-def _verify_modular_bases(
-    inst: Union[ModularInstance, ParityInstance], cert: ModularCertificate
-) -> Optional[str]:
-    m = inst.matroid
-    return _verify_modular_partition(
-        inst.modules.blocks, cert, m.ground.full_mask, m.full_rank, m.indep_mask
-    )
 
 
 def _verify_modular_trees(inst: ModularTreesInstance, cert: ModularCertificate) -> Optional[str]:
     if not inst.shape_feasible():
         return "the graph is disconnected or does not have 2(V - 1) edges"
-    graph = inst.graph
-    return _verify_modular_partition(
-        inst.modules.blocks, cert, (1 << graph.edge_count) - 1, graph.vertex_count - 1,
-        graph.is_forest_mask,
-    )
+    return _verify_modular_bases(inst.to_modular_instance(), cert)
 
 
 def _verify_naesat(formula: CnfFormula, cert: AssignmentCertificate) -> Optional[str]:

@@ -406,6 +406,13 @@ def test_split_blocks_yields_the_plain_search_sequence(search):
     )
 
 
+def test_split_blocks_refuses_a_zero_block():
+    # The open classes are read off the class masks, so every block must
+    # make its class non-empty.
+    with pytest.raises(ValueError):
+        next(split_blocks([0b01, 0, 0b10], 2, 2, lambda mask: True))
+
+
 # ---------------------------------------------------------------------------
 # The immutable value records: every class built on core.Record, with its
 # fields in constructor order.

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from basepack.core import (
+    Gf2Basis,
     check_basis_axioms,
     check_independence_axioms,
     enumerate_bases,
@@ -34,7 +35,7 @@ class TestSearch:
 
     def test_plain_alphabetical_labeling_fails(self):
         plain = BlockLabeling(("a", "b", "c"), ("d", "e", "f"), ("a", "b", "c"), ("d", "g", "h"))
-        cert = verify_gadget(build_gadget(plain, 2), stop_on_violation=True)
+        cert = verify_gadget(build_gadget(plain, 2))
         assert not (cert.ok and cert.structure_ok and local_block_forcing(plain))
 
     def test_labeling_validation(self):
@@ -112,6 +113,21 @@ class TestVerify:
     def test_ell_cap(self):
         with pytest.raises(ResourceCapExceeded):
             verify_gadget(default_gadget(6))
+
+    def test_four_blocks_take_few_forest_tests(self, monkeypatch):
+        # One forward pass of forced placement after each placement makes
+        # 10,287 state tests here; each is one forest test in both graphs.
+        calls = 0
+        fits = Gf2Basis.fits
+
+        def counted(state, block):
+            nonlocal calls
+            calls += 1
+            return fits(state, block)
+
+        monkeypatch.setattr(Gf2Basis, "fits", counted)
+        assert verify_gadget(default_gadget(4)).feasible_bipartitions == 4**4
+        assert calls <= 10_287
 
     def test_certificate_json(self):
         cert = verify_gadget(default_gadget(1))

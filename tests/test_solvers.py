@@ -216,7 +216,7 @@ class TestModularTrees:
     def test_chain_formula_takes_few_forest_tests(self, monkeypatch):
         # The r2 image of (x_i or x_{i+1}), i < 30.  Plain backtracking
         # made 51,045 forest tests at 14 variables, about 4x more for
-        # every two variables; forced placement makes 9,155 here.  Each
+        # every two variables; forced placement makes 9,141 here.  Each
         # class state test is one forest test.
         inst = naesat_to_modular_trees(chain_formula(30)).instance
         calls = 0
