@@ -220,6 +220,14 @@ def direct_sum_all(parts: Sequence[Matroid]) -> Matroid:
     lists every part in one flat ``parts`` list.
     Labels are merged when every part has them and they stay unique,
     otherwise dropped.  A single part is returned as it is.
+
+    Each part remembers its last projected mask and its answer, one
+    ``(mask, answer)`` pair for independence and one for rank, so a
+    query pays only for the parts it changes (the dynamic-oracle view of
+    Blikstad, Mukhopadhyay, Nanongkai and Tu, STOC 2023).  This relies on
+    the parts being deterministic.  A pair is stored only after the part
+    returns, and is replaced as one tuple, so a part that raises leaves
+    no answer behind and concurrent queries only ever read a whole pair.
     """
     if len(parts) == 1:
         return parts[0]
@@ -228,20 +236,36 @@ def direct_sum_all(parts: Sequence[Matroid]) -> Matroid:
         merged = tuple(t for m in parts for t in m.ground.labels)
         if len(set(merged)) == len(merged):
             labels = merged
-    pieces = []  # (shift, width mask, oracle, rank) per part
+    pieces = []  # (index, shift, width mask, oracle, rank) per part
     size = 0
-    for m in parts:
-        pieces.append((size, (1 << m.ground.size) - 1, m.indep_mask, m.rank_mask))
+    for i, m in enumerate(parts):
+        pieces.append((i, size, (1 << m.ground.size) - 1, m.indep_mask, m.rank_mask))
         size += m.ground.size
+    # Per part, the last (projected mask, answer); -1 matches no mask.
+    last_indep = [(-1, False)] * len(parts)
+    last_rank = [(-1, 0)] * len(parts)
 
     def indep(mask: int) -> bool:
-        for shift, width, inner, _ in pieces:
-            if not inner(mask >> shift & width):
+        for i, shift, width, inner, _ in pieces:
+            sub = mask >> shift & width
+            seen, answer = last_indep[i]
+            if seen != sub:
+                answer = inner(sub)
+                last_indep[i] = (sub, answer)
+            if not answer:
                 return False
         return True
 
     def rank(mask: int) -> int:
-        return sum(inner(mask >> shift & width) for shift, width, _, inner in pieces)
+        total = 0
+        for i, shift, width, _, inner in pieces:
+            sub = mask >> shift & width
+            seen, answer = last_rank[i]
+            if seen != sub:
+                answer = inner(sub)
+                last_rank[i] = (sub, answer)
+            total += answer
+        return total
 
     desc = {"kind": "direct-sum", "parts": [m.descriptor for m in parts]}
     return Matroid(GroundSet(size, labels), "direct-sum", indep, desc, rank)

@@ -15,6 +15,11 @@ Entry = "int | Fraction"  # a string, so that only rational matrices import frac
 
 RATIONALS = "q"
 
+# Python's own limit on the digits of a str -> int conversion.  A rational
+# entry's decimal exponent is held to it, so "1e999999999" is refused
+# before Fraction builds a billion-digit power of ten.
+MAX_DECIMAL_EXPONENT = 4300
+
 
 def gf(p: int) -> str:
     return f"gf:{p}"
@@ -54,6 +59,23 @@ def parse_field(descriptor: str) -> tuple[str, int]:
     raise ValueError(f"unknown field descriptor {descriptor!r}")
 
 
+def _rational(x: Entry) -> "Fraction":
+    """``Fraction(x)``, refusing a string whose decimal exponent exceeds
+    MAX_DECIMAL_EXPONENT in magnitude before Fraction builds the number."""
+    from fractions import Fraction
+
+    if isinstance(x, str):
+        _, mark, exponent = x.lower().partition("e")
+        try:
+            too_large = bool(mark) and abs(int(exponent)) > MAX_DECIMAL_EXPONENT
+        except ValueError:  # no integer exponent: Fraction refuses the entry
+            too_large = False
+        if too_large:
+            raise ValueError(
+                f"rational entry exponent exceeds {MAX_DECIMAL_EXPONENT} in magnitude")
+    return Fraction(x)
+
+
 class Matrix(Record):
     """A dense matrix over GF(p) (field="gf:p") or the rationals (field="q")."""
 
@@ -70,9 +92,7 @@ class Matrix(Record):
         object.__setattr__(self, "_field", (kind, p))
         if len(self.entries) != self.rows:
             raise ValueError("row count mismatch")
-        if kind == "q":
-            from fractions import Fraction
-        to_entry = (lambda x: int(x) % p) if kind == "gf" else Fraction
+        to_entry = (lambda x: int(x) % p) if kind == "gf" else _rational
         norm = []
         for row in self.entries:
             if len(row) != self.cols:

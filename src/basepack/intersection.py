@@ -4,8 +4,8 @@ Both run in polynomial time measured in oracle calls and serve as
 independent cross-checks for the brute-force solvers: intersection finds
 a maximum common independent set; partition decides whether the ground
 set splits into k independent sets (by reducing to intersection of a
-k-fold copy sum with a partition matroid, so one augmentation engine
-drives both).
+k-fold copy sum with a chooser that allows one copy per element, so one
+augmentation engine drives both).
 
 The engine is Cunningham's (SIAM J. Comput. 1986).  A greedy scan in
 index order first keeps every element that stays independent in both
@@ -34,11 +34,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .core import ElementSet, GroundSet, Matroid, Record, UniverseMismatch
-from .constructions import (
-    PartitionOfGroundSet,
-    direct_sum_all,
-    partition_matroid,
-)
+from .constructions import direct_sum_all
 
 
 def max_common_independent(m1: Matroid, m2: Matroid) -> ElementSet:
@@ -212,10 +208,14 @@ def partition_into_independent(matroid: Matroid, k: int) -> PartitionVerdict:
     rank call and no augmentation.  Otherwise, reduction: spread the
     ground set over min(k, |E|) disjoint copies carrying the same
     matroid, since more classes than elements are never needed, and
-    intersect with the partition matroid allowing one copy per element,
-    through the one engine of :func:`max_common_independent`.  A common
-    independent set of full size assigns each element a class; the
-    verdict holds one class per copy, so at most k of them.
+    intersect with the chooser allowing one copy per element, through
+    the one engine of :func:`max_common_independent`.  The chooser is the
+    partition matroid with one block of copies per element, computed in
+    closed form: it ORs the copy slices together and fails on the first
+    overlap.  The engine asks only independence, so the chooser supplies
+    no closed-form rank.  A common independent set of full size assigns each
+    element a class; the verdict holds one class per copy, so at most k
+    of them.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -226,11 +226,19 @@ def partition_into_independent(matroid: Matroid, k: int) -> PartitionVerdict:
         return PartitionVerdict(False)
     k = min(k, n)
     copies = direct_sum_all([matroid] * k)
-    universe = GroundSet(n * k)
-    blocks = [[e + c * n for c in range(k)] for e in range(n)]
-    chooser = partition_matroid(
-        PartitionOfGroundSet.build(universe, blocks), [1] * n
-    )
+    full = (1 << n) - 1
+    shifts = range(0, n * k, n)
+
+    def one_copy_each(mask: int) -> bool:
+        chosen = 0
+        for shift in shifts:
+            part = mask >> shift & full
+            if part & chosen:
+                return False
+            chosen |= part
+        return True
+
+    chooser = Matroid(GroundSet(n * k), "chooser", one_copy_each)
     common = max_common_independent(copies, chooser)
     if len(common) < n:
         return PartitionVerdict(False)

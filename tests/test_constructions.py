@@ -1,6 +1,8 @@
 """Matroid classes, combinators, and their exchange-format round trips."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -277,6 +279,13 @@ class TestLinear:
         with pytest.raises(ValueError, match="rational entry with a zero denominator"):
             Matrix.build("q", [["1/2", "1/0"]])
 
+    def test_rational_exponent_is_bounded(self):
+        m = Matrix.build("q", [["3/4", "1.5", "1.5e3", "-2E-3", "1e4300"]])
+        assert m.entries[0][:4] == (Fraction(3, 4), Fraction(3, 2), 1500, Fraction(-1, 500))
+        for entry in ("1e4301", "1E-4301", "2.5e+999999999"):
+            with pytest.raises(ValueError, match="exponent exceeds 4300 in magnitude"):
+                Matrix.build("q", [[entry]])
+
 
 class TestIsPrime:
     def test_agrees_with_trial_division_below_100000(self):
@@ -319,7 +328,9 @@ class TestCombinators:
             assert rank(direct_sum(m1, m2)) == rank(m1) + rank(m2)
 
     def test_direct_sum_all_matches_left_deep_fold(self):
-        # Same answers, and the parts see the same queries in the same order.
+        # Same answers, and the parts see the same queries in the same
+        # order, less each part's immediate repeats, which the flat node
+        # answers from its memo.
         rng = random.Random(47)
 
         def taped(m, i, tape):
@@ -345,10 +356,106 @@ class TestCombinators:
             # Rank through the flat node sums the part ranks instead of
             # querying the parts' independence, so the tapes are compared
             # over the independence sweep only.
-            assert flat_tape == fold_tape
+            last: dict[int, int] = {}
+            unrepeated = []
+            for i, mask in fold_tape:
+                if last.get(i) != mask:
+                    unrepeated.append((i, mask))
+                last[i] = mask
+            assert flat_tape == unrepeated
             assert flat.full_rank == fold.full_rank
             for (_, a), (_, b) in zip(flat_logs, fold_logs):
                 assert a.masks() == b.masks()
+
+    def test_direct_sum_memo_keeps_no_answer_from_a_raising_part(self):
+        # The part raises once, as a too-deep descriptor raises
+        # RecursionError; the same query next must ask the part again.
+        base = uniform_matroid(GroundSet(3), 2)
+        asked = []
+        armed = [False]
+
+        def ask(answer, mask):
+            asked.append(mask)
+            if armed[0]:
+                armed[0] = False
+                raise RecursionError("too deep")
+            return answer(mask)
+
+        part = Matroid(base.ground, "uniform", lambda mask: ask(base.indep_mask, mask),
+                       rank=lambda mask: ask(base.rank_mask, mask))
+        m = direct_sum_all([part, free_matroid(GroundSet(1))])
+        for query, answers in ((m.indep_mask, (True, False, False)), (m.rank_mask, (1, 2, 3))):
+            asked.clear()
+            assert query(0b0001) == answers[0]
+            armed[0] = True
+            with pytest.raises(RecursionError):
+                query(0b0111)
+            assert query(0b0111) == answers[1]
+            assert asked == [0b001, 0b111, 0b111]
+            assert query(0b1111) == answers[2]
+
+    def test_direct_sum_memo_answers_one_bit_walks(self):
+        # Walks that flip one bit at a time, mixing rank and independence
+        # queries, against the memo-free left-deep fold; the dual of a sum
+        # is the r5 output's shape.
+        rng = random.Random(61)
+        for _ in range(40):
+            if rng.random() < 0.3:
+                parts = [random_matroid(rng, rng.randint(1, 3))] * rng.randint(2, 4)
+            else:
+                parts = [random_matroid(rng, rng.randint(0, 3)) for _ in range(rng.randint(2, 5))]
+            flat = direct_sum_all(parts)
+            fold = reference_direct_sum(parts)
+            n = flat.ground.size
+            if n == 0:
+                continue
+            pairs = [(flat, fold), (dual(flat), dual(fold))]
+            mask = rng.getrandbits(n)
+            for _ in range(60):
+                mask ^= 1 << rng.randrange(n)
+                for got, want in pairs:
+                    if rng.random() < 0.5:
+                        assert got.indep_mask(mask) == want.indep_mask(mask)
+                    else:
+                        assert got.rank_mask(mask) == reference_rank(want, mask)
+
+    def test_direct_sum_memo_is_safe_across_threads(self):
+        # Four threads walk one shared sum and its dual with a short switch
+        # interval.  A memo that stored the mask before asking the part
+        # would let another thread read that mask with a stale answer; the
+        # parallel pairs flip their answers often, so such a read shows.
+        pair = linear_matroid(Matrix.build(gf(3), [[1, 2, 0], [2, 1, 1]]))
+        parts = [pair, pair, uniform_matroid(GroundSet(1), 0)]
+        flat = direct_sum_all(parts)
+        fold = reference_direct_sum(parts)
+        pairs = [(flat, fold), (dual(flat), dual(fold))]
+        want = [([m.indep_mask(x) for x in range(128)],
+                 [reference_rank(m, x) for x in range(128)]) for _, m in pairs]
+        wrong = []
+        gate = threading.Barrier(4)
+
+        def walk(seed):
+            local = random.Random(seed)
+            gate.wait(timeout=60)
+            mask = 0
+            for _ in range(5000):
+                mask ^= 1 << local.randrange(7)
+                for (got, _), (indep, ranks) in zip(pairs, want):
+                    if got.indep_mask(mask) != indep[mask] or got.rank_mask(mask) != ranks[mask]:
+                        wrong.append(mask)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=walk, args=(seed,)) for seed in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
     def test_direct_sum_descriptor_is_flat(self):
         parts = [uniform_matroid(GroundSet(2), 1), free_matroid(GroundSet(1)),

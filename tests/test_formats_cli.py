@@ -486,6 +486,23 @@ def test_zero_denominator_is_exit_two(argv, data, what, monkeypatch, capsys):
     assert err == f"error: bad {what}: rational entry with a zero denominator\n"
 
 
+def test_huge_rational_exponent_is_exit_two_at_once():
+    # Fraction("1e999999999") would build a billion-digit number; the
+    # timeout makes a regression fail instead of hang.
+    descriptor = {"kind": "linear", "matrix": {"field": "q", "rows": 1, "cols": 2,
+                                               "entries": [["1e999999999", "1"]]}}
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "basepack.cli", "axioms", "-"], input=json.dumps(descriptor),
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=20,
+    )
+    assert time.perf_counter() - started < 1
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: bad matroid descriptor: "
+                           "rational entry exponent exceeds 4300 in magnitude\n")
+
+
 def test_thirty_digit_modulus_is_exit_two_at_once(monkeypatch, capsys):
     p = 10**30 + 57  # a prime; trial division would take about 10^15 steps
     descriptor = {"kind": "linear",

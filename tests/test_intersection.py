@@ -268,7 +268,8 @@ def test_r1_instance_call_count_is_pinned():
 def test_r5_partition_call_count_is_pinned():
     # The m1 side of the necessary check on the 800-element r5 output of
     # the pipeline formula: 200,887 queries (with repeats) with all-pairs
-    # arc tests in the layering, 15,283 with circuit queries.
+    # arc tests in the layering, 15,283 with circuit queries, and 10,027
+    # once the copy sum answers a part's repeated projection from memory.
     sat = naesat_to_modular_trees(FORMULA)
     embed = modular_to_common_bases(sat.instance.to_modular_instance())
     m1 = to_partition_matroid_form(embed.instance).instance.m1
@@ -276,7 +277,20 @@ def test_r5_partition_call_count_is_pinned():
     m, log = counted(m1)
     verdict = partition_into_independent(m, 2)
     assert verdict.feasible
-    assert len(log) <= 15_283
+    assert len(log) <= 10_027
+
+
+def test_r5_partition_m2_call_count_is_pinned():
+    # The m2 side of the same check: 2,800 queries while the copy sum
+    # asked every part again on each query, 1,602 with its memo.
+    sat = naesat_to_modular_trees(FORMULA)
+    embed = modular_to_common_bases(sat.instance.to_modular_instance())
+    m2 = to_partition_matroid_form(embed.instance).instance.m2
+    assert m2.ground.size == 800
+    m, log = counted(m2)
+    verdict = partition_into_independent(m, 2)
+    assert verdict.feasible
+    assert len(log) <= 1_602
 
 
 class TestCountingRefutation:
