@@ -1,8 +1,10 @@
 """Exact linear algebra over GF(p) and the rationals.
 
 Column-subset rank is the only operation the linear matroid oracle
-needs; everything is done with exact arithmetic (machine ints mod p, or
-:class:`fractions.Fraction`), never floats.
+needs; everything is done with exact arithmetic, never floats.  Over
+GF(2) each column is one int, bit r holding row r, and a column is
+reduced against the others by XOR; over GF(p > 2) and Q rows of machine
+ints mod p, or of :class:`fractions.Fraction`, are eliminated.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ def is_prime(p: int) -> bool:
 
 def parse_field(descriptor: str) -> tuple[str, int]:
     """Return ("gf", p) or ("q", 0)."""
+    if not isinstance(descriptor, str):
+        raise TypeError(f"field descriptor must be a string, not {descriptor!r}")
     if descriptor == RATIONALS:
         return ("q", 0)
     if descriptor.startswith("gf:"):
@@ -81,12 +85,13 @@ class Matrix(Record):
 
     __slots__ = {
         "field": "str", "rows": "int", "cols": "int", "entries": "tuple[tuple[Entry, ...], ...]",
-        "_field": "tuple[str, int]",
+        "_field": "tuple[str, int]", "_columns": "tuple[int, ...] | None",
     }
 
     def __post_init__(self) -> None:
-        """Parse the field (the one place that does) and normalize the
-        entries: ``int(x) % p`` over GF(p), ``Fraction(x)`` over Q."""
+        """Parse the field (the one place that does), normalize the
+        entries, ``int(x) % p`` over GF(p) and ``Fraction(x)`` over Q, and
+        over GF(2) pack each column into an int."""
         kind, p = parse_field(self.field)
         # Parsed once: the oracle's column_rank runs on every query.
         object.__setattr__(self, "_field", (kind, p))
@@ -102,14 +107,44 @@ class Matrix(Record):
             except ZeroDivisionError:
                 raise ValueError("rational entry with a zero denominator") from None
         object.__setattr__(self, "entries", tuple(norm))
+        columns = None
+        if (kind, p) == ("gf", 2):  # packed once: bit r of column c is entry (r, c)
+            columns = tuple([sum(row[c] << r for r, row in enumerate(norm))
+                             for c in range(self.cols)])
+        object.__setattr__(self, "_columns", columns)
 
     @staticmethod
     def build(field: str, entries: Sequence[Sequence[Entry]]) -> "Matrix":
         """A matrix whose shape is read off ``entries``."""
         return Matrix(field, len(entries), len(entries[0]) if entries else 0, entries)
 
+    def _gf2_rank(self, cols: Sequence[int], stop_at_zero: bool) -> int:
+        """Rank of the packed GF(2) columns ``cols``, or with ``stop_at_zero``
+        of those before the first one that reduces to zero; a basis maps
+        each vector's bit length, its pivot, to it, as in :class:`core.Gf2Basis`."""
+        columns, basis, m = self._columns, {}, self.rows
+        get = basis.get
+        for c in cols:
+            v = columns[c]
+            top = v.bit_length()  # 0, never a pivot, once v is reduced to zero
+            w = get(top)
+            while w is not None:
+                v ^= w
+                top = v.bit_length()
+                w = get(top)
+            if top:
+                basis[top] = v
+                if len(basis) == m:
+                    break
+            elif stop_at_zero:
+                break
+        return len(basis)
+
     def column_rank(self, cols: Sequence[int]) -> int:
-        """Rank of the submatrix given by ``cols``, by Gaussian elimination."""
+        """Rank of the submatrix given by ``cols``: over GF(2) by reducing
+        its packed columns, otherwise by Gaussian elimination on its rows."""
+        if self._columns is not None:
+            return self._gf2_rank(cols, False)
         kind, p = self._field
         if not cols:
             return 0
@@ -145,6 +180,10 @@ class Matrix(Record):
         return rank
 
     def columns_independent(self, cols: Sequence[int]) -> bool:
+        """Whether the columns ``cols`` are linearly independent; over GF(2)
+        the reduction stops at the first column that reduces to zero."""
+        if self._columns is not None:
+            return self._gf2_rank(cols, True) == len(cols)
         return self.column_rank(cols) == len(cols)
 
     def to_json(self) -> dict:
@@ -162,12 +201,3 @@ class Matrix(Record):
     def from_json(data: dict) -> "Matrix":
         return Matrix(data["field"], data["rows"], data["cols"], data["entries"])
 
-
-def incidence_matrix_gf2(vertex_count: int, endpoints: Sequence[tuple[int, int]]) -> Matrix:
-    """Vertex-edge incidence matrix over GF(2); a self-loop gives a zero column."""
-    entries = [[0] * len(endpoints) for _ in range(vertex_count)]
-    for j, (u, v) in enumerate(endpoints):
-        if u != v:
-            entries[u][j] = 1
-            entries[v][j] = 1
-    return Matrix(gf(2), vertex_count, len(endpoints), entries)

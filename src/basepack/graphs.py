@@ -228,6 +228,8 @@ class BipartiteGraph(Record):
 
     @staticmethod
     def from_json(data: dict) -> "BipartiteGraph":
+        if not isinstance(data, dict):
+            raise TypeError("bipartite graph must be a JSON object")
         labels = [data.get("left_labels"), data.get("right_labels")]
         if not all(side is None or is_string_list(side) for side in labels):
             raise ValueError("vertex labels must be a list of strings")

@@ -34,7 +34,7 @@ from basepack.constructions import (
     truncate,
     uniform_matroid,
 )
-from basepack.fields import Matrix, gf, incidence_matrix_gf2, is_prime
+from basepack.fields import Matrix, gf, is_prime
 from basepack.graphs import BipartiteGraph, MultiGraph, augment, union_find
 
 from helpers import (
@@ -144,7 +144,9 @@ class TestGraphic:
         for _ in range(15):
             graph = random_multigraph(rng, rng.randint(1, 10))
             graphic = graphic_matroid(graph)
-            linear = linear_matroid(incidence_matrix_gf2(graph.vertex_count, graph.endpoints()))
+            vectors = graph.incidence_vectors()  # entry (r, c) is bit r of vector c
+            entries = [[v >> r & 1 for v in vectors] for r in range(graph.vertex_count)]
+            linear = linear_matroid(Matrix.build(gf(2), entries))
             assert oracle_equal(graphic, linear)
 
 
@@ -270,6 +272,34 @@ class TestLinear:
                 assert linear.rank_mask(mask) == graphic.rank_mask(mask)
             checked += 1 << graph.edge_count
         assert checked > 1000
+
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 130])
+    def test_gf2_packed_columns_agree_with_references(self, rows):
+        # Columns are zero, copies of earlier ones, sums of two earlier
+        # ones, random, or set only in the top rows, so that packing crosses
+        # the machine word; entries 3, -1 and 2 must reduce mod 2.
+        rng = random.Random(400 + rows)
+        for _ in range(12):
+            columns: list[list[int]] = []
+            for _ in range(rng.randint(1, 8)):
+                shape = rng.choice(["zero", "copy", "sum", "random", "top"] if columns
+                                   else ["zero", "random", "top"])
+                if shape == "zero":
+                    column = [rng.choice([0, 2]) for _ in range(rows)]
+                elif shape == "copy":
+                    column = [x + rng.choice([0, 2, -2]) for x in rng.choice(columns)]
+                elif shape == "sum":
+                    column = [x + y for x, y in zip(rng.choice(columns), rng.choice(columns))]
+                else:
+                    low = max(rows - 3, 0) if shape == "top" else 0
+                    column = [rng.choice([0, 1, 3, -1, 2]) if r >= low else 0 for r in range(rows)]
+                columns.append(column)
+            m = linear_matroid(Matrix.build(gf(2), [list(row) for row in zip(*columns)]))
+            packed = [sum((x % 2) << r for r, x in enumerate(column)) for column in columns]
+            for mask in range(1 << len(columns)):
+                chosen = [packed[c] for c in range(len(columns)) if mask >> c & 1]
+                assert m.indep_mask(mask) == gf2_independent(chosen)
+                assert m.rank_mask(mask) == reference_rank(m, mask)
 
     def test_zero_column_is_loop(self):
         m = linear_matroid(Matrix.build(gf(2), [[0, 1]]))

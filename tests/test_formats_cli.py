@@ -515,6 +515,21 @@ def test_thirty_digit_modulus_is_exit_two_at_once(monkeypatch, capsys):
     assert err == f"error: bad matroid descriptor: GF({p}): modulus must be below 2^64\n"
 
 
+# A list where a string or an object belongs used to raise AttributeError
+# and exit 4, as an internal error.
+@pytest.mark.parametrize("descriptor, message", [
+    ({"kind": "linear", "matrix": {"field": ["gf:2"], "rows": 1, "cols": 1, "entries": [[1]]}},
+     "field descriptor must be a string, not ['gf:2']"),
+    ({"kind": "transversal", "graph": [2, 1, [[0, 0]]]},
+     "bipartite graph must be a JSON object"),
+], ids=["field", "bipartite-graph"])
+def test_mistyped_descriptor_part_is_exit_two(descriptor, message, monkeypatch, capsys):
+    code, out, err = run_cli(["axioms", "-"], stdin_text=json.dumps(descriptor),
+                             monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: bad matroid descriptor: {message}\n"
+
+
 class TestCertificatePayloads:
     @pytest.mark.parametrize("case", BAD_CERTIFICATES.values(), ids=BAD_CERTIFICATES.keys())
     def test_bad_payload_is_exit_two(self, case, monkeypatch, capsys, tmp_path):

@@ -43,6 +43,13 @@ SEEDS = [
             [0, 1, "a"], [1, 2, "b"], [0, 1, "c"], [1, 2, "d"]]}},
         "k": 2,
     }),
+    ("common-bases", {
+        "schema": "common-bases-instance/1",
+        "m1": {"kind": "linear", "matrix": {"field": "gf:2", "rows": 2, "cols": 4,
+                                            "entries": [[1, 0, 1, 0], [0, 1, 0, 1]]}},
+        "m2": {"kind": "uniform", "size": 4, "r": 2},
+        "k": 2,
+    }),
     ("modular-bases", json.loads((GOLDEN / "modular_u42.json").read_text())),
     ("parity-bases", dump_instance(mod4_factor_to_parity_bases(BIPARTITE).instance)),
     ("modular-trees", dump_instance(
@@ -87,7 +94,8 @@ def _solved(problem, instance):
     return json.loads(out)
 
 
-CERTIFICATES = {problem: _solved(problem, instance) for problem, instance in SEEDS}
+# Each seed with the certificate that solving it prints; a problem may have several seeds.
+SOLVED = [(problem, instance, _solved(problem, instance)) for problem, instance in SEEDS]
 
 
 def _retyped(value) -> list:
@@ -137,9 +145,8 @@ def mutated(draw, doc):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_cli_survives_mutated_inputs(data):
-    seed_problem, instance = data.draw(st.sampled_from(SEEDS))
+    seed_problem, instance, certificate = data.draw(st.sampled_from(SOLVED))
     problem = data.draw(st.one_of(st.just(seed_problem), st.sampled_from(PROBLEMS)))
-    certificate = CERTIFICATES[seed_problem]
     target = data.draw(st.sampled_from(["instance", "certificate", "both"]))
     if target != "certificate" and not isinstance(instance, str):
         instance = data.draw(mutated(instance))
@@ -167,6 +174,17 @@ LABELING = json.loads((GOLDEN / "gadget_labeling.json").read_text())
 @given(labeling=mutated(LABELING))
 def test_gadget_verify_survives_mutated_labelings(labeling):
     code, _ = run_main(["gadget", "verify", "--ell", "1", "--labeling", "-"], json.dumps(labeling))
+    assert code in (0, 1, 2, 3)
+
+
+LINEAR_SEED = SEEDS[1][1]  # a GF(2) matrix against uniform 4/2
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(matrix=mutated(LINEAR_SEED["m1"]["matrix"]))
+def test_solve_survives_mutated_gf2_matrices(matrix):
+    instance = dict(LINEAR_SEED, m1={"kind": "linear", "matrix": matrix})
+    code, _ = run_main(["solve", "--problem", "common-bases", "-"], json.dumps(instance))
     assert code in (0, 1, 2, 3)
 
 
