@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import ElementSet, GroundSet, Record
+from .core import ElementSet, GroundSet, Record, is_int_list
 
 
 def _class_json(subset: ElementSet) -> dict:
@@ -21,7 +21,7 @@ def _class_json(subset: ElementSet) -> dict:
 
 def _ints(value, what: str) -> list[int]:
     """``value`` if it is a JSON list of integers (booleans excluded)."""
-    if not isinstance(value, list) or any(type(v) is not int for v in value):
+    if not is_int_list(value):
         raise ValueError(f"{what} must be a list of integers")
     return value
 
@@ -34,9 +34,7 @@ def _classes(data: dict, ground: GroundSet) -> tuple[ElementSet, ...]:
 
 
 def _pairs(value, what: str) -> frozenset[tuple[int, int]]:
-    if not isinstance(value, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p) for p in value
-    ):
+    if not isinstance(value, list) or not all(is_int_list(p, 2) for p in value):
         raise ValueError(f"{what} must be a list of integer pairs")
     return frozenset((a, b) for a, b in value)
 

@@ -159,6 +159,13 @@ def is_string_list(value: object) -> bool:
     return isinstance(value, list) and all(isinstance(t, str) for t in value)
 
 
+def is_int_list(value: object, length: Optional[int] = None) -> bool:
+    """Whether a JSON value is a list of integers (booleans excluded), of
+    ``length`` items when given, as index lists and edge endpoints must be."""
+    return (isinstance(value, list) and length in (None, len(value))
+            and all(type(x) is int for x in value))
+
+
 class Gf2Basis:
     """A class state for :func:`split_blocks`: one incremental echelon
     basis over GF(2) per table of element vectors.  A block fits when each

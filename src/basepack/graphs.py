@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .core import GroundSet, Record, is_string_list
+from .core import GroundSet, Record, is_int_list, is_string_list
 
 
 # The set bit positions of each byte value, for walking a mask byte by byte.
@@ -49,6 +49,15 @@ def union_find(
             elif forest:
                 return -1
     return comps
+
+
+def _endpoints(value, what: str) -> list:
+    """``value`` if it is a JSON list of arrays that each start with two
+    integer endpoints; the graph's ``build`` unpacks them."""
+    if not isinstance(value, list) or not all(
+            isinstance(e, list) and is_int_list(e[:2], 2) for e in value):
+        raise ValueError(f"{what} must be a list of arrays with two integer endpoints")
+    return value
 
 
 class MultiGraph(Record):
@@ -169,7 +178,7 @@ class MultiGraph(Record):
 
     @staticmethod
     def from_json(data: dict) -> "MultiGraph":
-        return MultiGraph.build(data["vertices"], data["edges"])
+        return MultiGraph.build(data["vertices"], _endpoints(data["edges"], "edges"))
 
     def to_dot(self, name: str = "G") -> str:
         lines = [f"graph {name} {{"]
@@ -233,7 +242,8 @@ class BipartiteGraph(Record):
         labels = [data.get("left_labels"), data.get("right_labels")]
         if not all(side is None or is_string_list(side) for side in labels):
             raise ValueError("vertex labels must be a list of strings")
-        return BipartiteGraph.build(data["left"], data["right"], data["edges"], *labels)
+        edges = _endpoints(data["edges"], "edges")
+        return BipartiteGraph.build(data["left"], data["right"], edges, *labels)
 
     def to_dot(self, name: str = "G") -> str:
         lines = [f"graph {name} {{", "  rankdir=LR;"]
@@ -321,7 +331,7 @@ class Digraph(Record):
 
     @staticmethod
     def from_json(data: dict) -> "Digraph":
-        return Digraph.build(data["vertices"], data["arcs"])
+        return Digraph.build(data["vertices"], _endpoints(data["arcs"], "arcs"))
 
     def to_dot(self, name: str = "D") -> str:
         lines = [f"digraph {name} {{"]

@@ -428,6 +428,30 @@ def gf2_independent(vectors) -> bool:
     return True
 
 
+def reference_column_rank(matrix: Matrix, cols) -> int:
+    """Rank of the columns ``cols`` of a matrix over GF(p) or Q, by
+    Gaussian elimination on a copy of its rows with no early stop, apart
+    from the column reduction that ``Matrix.column_rank`` runs."""
+    p = 0 if matrix.field == "q" else int(matrix.field[3:])
+    work = [[row[c] for c in cols] for row in matrix.entries]
+    rank = 0
+    for col in range(len(cols)):
+        pivot = next((r for r in range(rank, matrix.rows) if work[r][col] != 0), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        head = work[rank][col]
+        for r in range(rank + 1, matrix.rows):
+            if p:
+                scale = work[r][col] * pow(head, p - 2, p) % p
+                work[r] = [(a - scale * b) % p for a, b in zip(work[r], work[rank])]
+            else:
+                scale = work[r][col] / head
+                work[r] = [a - scale * b for a, b in zip(work[r], work[rank])]
+        rank += 1
+    return rank
+
+
 def random_bipartite(rng: random.Random, n_left: int, n_right: int, p: float = 0.5) -> BipartiteGraph:
     edges = [
         (s, t)

@@ -11,6 +11,7 @@ from basepack.core import (
     Gf2Basis,
     GroundSet,
     Matroid,
+    bits_of,
     check_independence_axioms,
     rank,
     with_query_log,
@@ -48,6 +49,7 @@ from helpers import (
     reference_direct_sum,
     reference_dual,
     reference_matching,
+    reference_column_rank,
     reference_rank,
     reference_remap,
 )
@@ -300,6 +302,60 @@ class TestLinear:
                 chosen = [packed[c] for c in range(len(columns)) if mask >> c & 1]
                 assert m.indep_mask(mask) == gf2_independent(chosen)
                 assert m.rank_mask(mask) == reference_rank(m, mask)
+
+    @pytest.mark.parametrize("field", [gf(3), gf(5), gf(2**31 - 1), "q"])
+    def test_column_reduction_agrees_with_row_elimination(self, field):
+        # Columns are zero, copies, multiples or sums of earlier ones, or
+        # random, so that many masks are dependent; the reference eliminates
+        # rows with no early stop.
+        rng = random.Random(field)
+        def entry():
+            x = rng.randint(-4, 4)
+            return Fraction(x, rng.randint(1, 3)) if field == "q" else x
+        checked = 0
+        for _ in range(40):
+            rows, columns = rng.randint(0, 5), []
+            for _ in range(rng.randint(1, 7)):
+                shape = rng.choice(["zero", "copy", "scale", "sum", "random"] if columns
+                                   else ["zero", "random"])
+                if shape == "zero":
+                    column = [0] * rows
+                elif shape == "copy":
+                    column = list(rng.choice(columns))
+                elif shape == "scale":
+                    scale = rng.choice([2, -3, 5, Fraction(1, 2)] if field == "q" else [2, -3, 5])
+                    column = [x * scale for x in rng.choice(columns)]
+                elif shape == "sum":
+                    column = [x + y for x, y in zip(rng.choice(columns), rng.choice(columns))]
+                else:
+                    column = [entry() for _ in range(rows)]
+                columns.append(column)
+            matrix = Matrix(field, rows, len(columns), [list(row) for row in zip(*columns)])
+            m = linear_matroid(matrix)
+            for mask in range(1 << len(columns)):
+                expected = reference_column_rank(matrix, list(bits_of(mask)))
+                assert m.rank_mask(mask) == expected
+                assert m.indep_mask(mask) == (expected == mask.bit_count())
+                checked += 1
+        assert checked > 1000
+
+    def test_entries_must_be_field_elements(self):
+        # Rows may be any sequence but a string; a GF(p) entry is an int
+        # other than a bool, a rational one an int, a Fraction or a string.
+        assert Matrix.build(gf(2), [(1, 3)]) == Matrix.build(gf(2), [[1, 1]])
+        for field, entries in [(gf(2), [[1.5, "3", True]]), (gf(2), [[True]]),
+                               (gf(3), [["3"]]), ("q", [[1.5]]), ("q", [[False]])]:
+            with pytest.raises(TypeError, match="entr"):
+                Matrix.build(field, entries)
+        for field, entries in [(gf(3), ["21"]), ("q", ["12", "34"])]:
+            with pytest.raises(TypeError, match="row must be a list"):
+                Matrix(field, len(entries), 2, entries)
+
+    @pytest.mark.parametrize("field", ["gf:07", "gf: 7", "gf:+7", "gf:1_009", "gf:7 ", "gf:",
+                                       "gf:\u0667"])
+    def test_field_modulus_is_canonical_decimal(self, field):
+        with pytest.raises(ValueError, match="unknown field descriptor"):
+            Matrix.build(field, [[1]])
 
     def test_zero_column_is_loop(self):
         m = linear_matroid(Matrix.build(gf(2), [[0, 1]]))

@@ -530,6 +530,50 @@ def test_mistyped_descriptor_part_is_exit_two(descriptor, message, monkeypatch, 
     assert err == f"error: bad matroid descriptor: {message}\n"
 
 
+def _linear(field, rows, cols, entries) -> dict:
+    return {"kind": "linear",
+            "matrix": {"field": field, "rows": rows, "cols": cols, "entries": entries}}
+
+
+# Each of these used to load and exit 0: int() took a string entry and a
+# modulus with a sign, a space, an underscore or a leading zero, and a
+# string row, or an object's key, was read one digit per entry.
+@pytest.mark.parametrize("descriptor, message", [
+    (_linear("gf:3", 1, 1, [["3"]]), "GF(3) matrix entries must be integers, not ['3']"),
+    (_linear("gf:3", 1, 1, [["1_0"]]), "GF(3) matrix entries must be integers, not ['1_0']"),
+    (_linear("gf:3", 1, 2, ["21"]), "matrix row must be a list, not '21'"),
+    (_linear("gf:3", 1, 2, {"11": 0}), "matrix row must be a list, not '11'"),
+    (_linear("q", 2, 2, ["12", "34"]), "matrix row must be a list, not '12'"),
+    *[(_linear(field, 1, 1, [[1]]), f"unknown field descriptor {field!r}")
+      for field in ("gf:07", "gf: 7", "gf:+7", "gf:1_009", "gf:7 ")],
+], ids=["string-entry", "underscore-entry", "string-row", "object-rows", "rational-string-rows",
+        "leading-zero", "space", "sign", "underscore", "trailing-space"])
+def test_malformed_matrix_is_exit_two(descriptor, message, monkeypatch, capsys):
+    code, out, err = run_cli(["axioms", "-"], stdin_text=json.dumps(descriptor),
+                             monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: bad matroid descriptor: {message}\n"
+
+
+# Each of these used to exit 0, the endpoints read from strings digit by digit.
+@pytest.mark.parametrize("argv, data, message", [
+    (["axioms", "-"],
+     {"kind": "graphic", "graph": {"vertices": 3, "edges": ["01", "12", ["2", "0", "z"]]}},
+     "bad matroid descriptor: edges"),
+    (["solve", "--problem", "even-factor", "-"],
+     {"schema": "digraph/1", "vertices": 2, "arcs": ["01", "10"]},
+     "bad digraph/1 payload: arcs"),
+    (["build", "-"],
+     {"schema": "bipartite-graph/1", "left": 1, "right": 1, "edges": ["00"]},
+     "bad bipartite-graph/1 payload: edges"),
+], ids=["graphic", "digraph", "bipartite"])
+def test_graph_endpoints_must_be_integer_arrays(argv, data, message, monkeypatch, capsys):
+    code, out, err = run_cli(argv, stdin_text=json.dumps(data),
+                             monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message} must be a list of arrays with two integer endpoints\n"
+
+
 class TestCertificatePayloads:
     @pytest.mark.parametrize("case", BAD_CERTIFICATES.values(), ids=BAD_CERTIFICATES.keys())
     def test_bad_payload_is_exit_two(self, case, monkeypatch, capsys, tmp_path):
