@@ -11,7 +11,10 @@ agree, and no field extensions are needed.  Every constructor and
 combinator also supplies its rank in closed form (a count, one
 union-find pass, one elimination, one maximum matching, or one call per
 inner rank), so a rank query on a tree built here never falls back to a
-greedy scan of an independence oracle.
+greedy scan of an independence oracle.  Free, graphic, GF(2) linear and
+0/1-capped partition matroids, and their direct sums, relabelings and
+parallel copies, also carry GF(2) vectors (:attr:`Matroid.gf2`); no other
+kind does.
 """
 
 from __future__ import annotations
@@ -88,7 +91,8 @@ class HyperplaneFamily(Record):
 def free_matroid(ground: GroundSet) -> Matroid:
     """Every subset independent."""
     desc = {"kind": "free", "size": ground.size}
-    return Matroid(ground, "free", lambda mask: True, desc, int.bit_count)
+    return Matroid(ground, "free", lambda mask: True, desc, int.bit_count,
+                   [1 << e for e in range(ground.size)])
 
 
 def uniform_matroid(ground: GroundSet, r: int) -> Matroid:
@@ -101,7 +105,12 @@ def uniform_matroid(ground: GroundSet, r: int) -> Matroid:
 
 
 def partition_matroid(partition: PartitionOfGroundSet, caps: Sequence[int]) -> Matroid:
-    """Independent iff each block contributes at most its cap."""
+    """Independent iff each block contributes at most its cap.
+
+    When every cap is 0 or 1, an element of block i has the GF(2) vector
+    ``cap << i``: a loop under cap 0, and under cap 1 the same unit
+    vector as the rest of its block.
+    """
     blocks = partition.block_masks()
     if len(caps) != len(blocks):
         raise ValueError("one cap per block required")
@@ -119,20 +128,28 @@ def partition_matroid(partition: PartitionOfGroundSet, caps: Sequence[int]) -> M
     def rank(mask: int) -> int:
         return sum(min((mask & block).bit_count(), cap) for block, cap in zip(blocks, caps))
 
+    listed = partition.to_json()
+    vectors = None
+    if all(cap <= 1 for cap in caps):
+        vectors = [0] * partition.universe.size
+        for i, (members, cap) in enumerate(zip(listed, caps)):
+            for e in members:
+                vectors[e] = cap << i
     desc = {"kind": "partition", "size": partition.universe.size,
-            "blocks": partition.to_json(), "caps": list(caps)}
-    return Matroid(partition.universe, "partition", indep, desc, rank)
+            "blocks": listed, "caps": list(caps)}
+    return Matroid(partition.universe, "partition", indep, desc, rank, vectors)
 
 
 def graphic_matroid(graph: MultiGraph) -> Matroid:
     """Edge sets independent iff they form a forest.
 
     Self-loops are dependent singletons; two parallel edges form a
-    two-element circuit.
+    two-element circuit.  The GF(2) vectors are the edges' vertex
+    incidence vectors.
     """
     desc = {"kind": "graphic", "graph": graph.to_json()}
     return Matroid(graph.ground_set(), "graphic", graph.is_forest_mask, desc,
-                   graph.forest_rank_mask)
+                   graph.forest_rank_mask, graph.incidence_vectors())
 
 
 def transversal_matroid(graph: BipartiteGraph) -> Matroid:
@@ -192,7 +209,8 @@ def paving_matroid(family: HyperplaneFamily) -> Matroid:
 
 
 def linear_matroid(matrix: Matrix) -> Matroid:
-    """Column sets independent iff linearly independent over the exact field."""
+    """Column sets independent iff linearly independent over the exact field;
+    over GF(2) the packed columns are the GF(2) vectors."""
     ground = GroundSet(matrix.cols)
 
     def indep(mask: int) -> bool:
@@ -203,7 +221,8 @@ def linear_matroid(matrix: Matrix) -> Matroid:
         return matrix.column_rank(list(bits_of(mask)))
 
     desc = {"kind": "linear", "matrix": matrix.to_json()}
-    return Matroid(ground, "linear", indep, desc, rank)
+    return Matroid(ground, "linear", indep, desc, rank,
+                   matrix._columns if matrix.field == gf(2) else None)
 
 
 def direct_sum(m1: Matroid, m2: Matroid) -> Matroid:
@@ -219,7 +238,9 @@ def direct_sum_all(parts: Sequence[Matroid]) -> Matroid:
     the rank is the sum of the projected part ranks.  The descriptor
     lists every part in one flat ``parts`` list.
     Labels are merged when every part has them and they stay unique,
-    otherwise dropped.  A single part is returned as it is.
+    otherwise dropped.  When every part has GF(2) vectors, each part's are
+    shifted past the bits that the parts before it use.  A single part is
+    returned as it is.
 
     Each part remembers its last projected mask and its answer, one
     ``(mask, answer)`` pair for independence and one for rank, so a
@@ -241,6 +262,12 @@ def direct_sum_all(parts: Sequence[Matroid]) -> Matroid:
     for i, m in enumerate(parts):
         pieces.append((i, size, (1 << m.ground.size) - 1, m.indep_mask, m.rank_mask))
         size += m.ground.size
+    vectors = None
+    if all(m.gf2 is not None for m in parts):
+        vectors, used = [], 0
+        for m in parts:
+            vectors += [v << used for v in m.gf2]
+            used += max(m.gf2, default=0).bit_length()
     # Per part, the last (projected mask, answer); -1 matches no mask.
     last_indep = [(-1, False)] * len(parts)
     last_rank = [(-1, 0)] * len(parts)
@@ -268,7 +295,7 @@ def direct_sum_all(parts: Sequence[Matroid]) -> Matroid:
         return total
 
     desc = {"kind": "direct-sum", "parts": [m.descriptor for m in parts]}
-    return Matroid(GroundSet(size, labels), "direct-sum", indep, desc, rank)
+    return Matroid(GroundSet(size, labels), "direct-sum", indep, desc, rank, vectors)
 
 
 def truncate(matroid: Matroid, k: int) -> Matroid:
@@ -312,7 +339,7 @@ def parallel_copies(matroid: Matroid, k: int) -> Matroid:
     Copy j of element e sits at index e*k + j and is labeled "<e>#<j+1>".
     Independent iff at most one copy of each element is used and the
     projection is independent in the original; the rank is the rank of
-    the projection.
+    the projection.  Each copy has its element's GF(2) vector.
     """
     if k < 1:
         raise ValueError("need at least one copy")
@@ -342,13 +369,15 @@ def parallel_copies(matroid: Matroid, k: int) -> Matroid:
                 projected |= 1 << e
         return inner_rank(projected)
 
+    vectors = None if matroid.gf2 is None else [v for v in matroid.gf2 for _ in range(k)]
     desc = {"kind": "parallel-copies", "k": k, "inner": matroid.descriptor}
-    return Matroid(ground, "parallel-copies", indep, desc, rank)
+    return Matroid(ground, "parallel-copies", indep, desc, rank, vectors)
 
 
 def relabel(matroid: Matroid, perm: Sequence[int]) -> Matroid:
     """Reindex the ground set: new element i is old element perm[i] and keeps
-    its label, if any; :meth:`~basepack.core.Matroid.with_labels` sets new ones."""
+    its label and GF(2) vector, if any; :meth:`~basepack.core.Matroid.with_labels`
+    sets new labels."""
     n = matroid.ground.size
     if sorted(perm) != list(range(n)):
         raise ValueError("perm must be a permutation of the ground set")
@@ -368,9 +397,10 @@ def relabel(matroid: Matroid, perm: Sequence[int]) -> Matroid:
                     inner_mask |= images[8 * j + b]
         return inner_mask
 
+    vectors = None if matroid.gf2 is None else [matroid.gf2[p] for p in perm]
     desc = {"kind": "relabel", "perm": list(perm), "inner": matroid.descriptor}
     return Matroid(ground, "relabel", lambda mask: inner(remap(mask)), desc,
-                   lambda mask: inner_rank(remap(mask)))
+                   lambda mask: inner_rank(remap(mask)), vectors)
 
 
 def transversal_linear_representation(

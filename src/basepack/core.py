@@ -194,54 +194,56 @@ class Gf2Basis:
         tables = [{b: tuple([vec[e] for e in bits_of(b)]) for b in blocks} for vec in vectors]
         return [Gf2Basis(tables) for _ in range(k)]
 
-    def _extend(self, block: int) -> Optional[list[tuple[dict[int, int], int]]]:
-        """Add the block's vectors; the (basis, pivot) pairs placed, or None,
-        with nothing placed, when they are dependent."""
-        placed: list[tuple[dict[int, int], int]] = []
+    def fits(self, block: int) -> bool:
+        """Whether each basis stays independent with the block's vectors;
+        the bases are left as they are."""
         for table, basis in zip(self.tables, self.bases):
             get = basis.get
+            own: dict[int, int] = {}  # the block's vectors so far, reduced, by pivot
             for v in table[block]:
                 top = v.bit_length()  # 0, never a pivot, once v is reduced to zero
-                w = get(top)
-                while w is not None:
+                w = get(top) or own.get(top)
+                while w:
                     v ^= w
                     top = v.bit_length()
-                    w = get(top)
+                    w = get(top) or own.get(top)
                 if not top:
-                    _drop(placed)
-                    return None
-                basis[top] = v
-                placed.append((basis, top))
-        return placed
-
-    def fits(self, block: int) -> bool:
-        placed = self._extend(block)
-        if placed is None:
-            return False
-        _drop(placed)
+                    return False
+                own[top] = v
         return True
 
     def add(self, block: int) -> None:
         """Add a block that fits."""
-        self.added.append(self._extend(block))
+        self.added.append([(basis, _place(basis, v))
+                           for table, basis in zip(self.tables, self.bases) for v in table[block]])
 
     def undo(self) -> None:
-        _drop(self.added.pop())
+        for basis, pivot in self.added.pop():
+            del basis[pivot]
 
 
-def _drop(placed: list[tuple[dict[int, int], int]]) -> None:
-    for basis, pivot in placed:
-        del basis[pivot]
+def _place(basis: dict[int, int], v: int) -> int:
+    """Put ``v``, independent of the basis, into it reduced; its pivot."""
+    get = basis.get
+    top = v.bit_length()
+    w = get(top)
+    while w is not None:
+        v ^= w
+        top = v.bit_length()
+        w = get(top)
+    basis[top] = v
+    return top
 
 
 class _MaskState:
-    """The class state behind a plain hereditary ``indep(mask)``."""
+    """The class state behind a plain hereditary ``indep(mask)``, holding
+    ``mask`` to start with; ``fits(block)`` is one query of the grown mask."""
 
     __slots__ = ("indep", "mask", "before")
 
-    def __init__(self, indep: Callable[[int], bool]):
+    def __init__(self, indep: Callable[[int], bool], mask: int = 0):
         self.indep = indep
-        self.mask = 0
+        self.mask = mask
         self.before: list[int] = []  # the class mask before each add still in force
 
     def fits(self, block: int) -> bool:
@@ -253,6 +255,32 @@ class _MaskState:
 
     def undo(self) -> None:
         self.mask = self.before.pop()
+
+
+# A maker of class states that each hold a given base set.
+StateAt = Callable[[int], "Gf2Basis | _MaskState"]
+
+
+def element_states(matroid: "Matroid") -> StateAt:
+    """A maker of class states of ``matroid`` over one-element blocks:
+    ``at(base)`` holds the independent set ``base``, and its ``fits(1 << x)``
+    says whether base + x is independent.  The state is a :class:`Gf2Basis`
+    of the matroid's vectors when it has them, so a test asks no oracle,
+    and otherwise the mask adapter, so a test is one oracle query."""
+    vectors = matroid.gf2
+    if vectors is None:
+        indep = matroid.indep_mask
+        return lambda base: _MaskState(indep, base)
+    tables = [{1 << e: (v,) for e, v in enumerate(vectors)}]
+
+    def at(base: int) -> Gf2Basis:
+        state = Gf2Basis(tables)
+        basis = state.bases[0]
+        for e in bits_of(base):
+            _place(basis, vectors[e])  # held for good: nothing to undo
+        return state
+
+    return at
 
 
 def split_blocks(
@@ -467,9 +495,20 @@ class Matroid:
     a bitmask, or else the greedy scan through ``indep_mask``.
     ``descriptor`` is a JSON-friendly construction tree used for
     serialization; oracles built ad hoc may leave it as a bare kind tag.
+
+    ``gf2``, when given, holds one int per element: its vector over GF(2),
+    bit i the i-th coordinate.  It may be given only where a set is
+    independent exactly when its vectors are linearly independent; the
+    exhaustive searches and the intersection engine then reduce vectors
+    (:func:`element_states`, :meth:`Gf2Basis.states`) instead of asking
+    the oracle.  The builders in :mod:`basepack.constructions` set it for
+    free, graphic, GF(2) linear and 0/1-capped partition matroids, and
+    for sums, relabelings and parallel copies of those.  A matroid built
+    around another's oracle without passing it on has none: a wrapper
+    such as :func:`with_query_log` sees every query its callers make.
     """
 
-    __slots__ = ("ground", "kind", "indep_mask", "rank_mask", "descriptor", "_rank_full")
+    __slots__ = ("ground", "kind", "indep_mask", "rank_mask", "descriptor", "gf2", "_rank_full")
 
     def __init__(
         self,
@@ -478,18 +517,23 @@ class Matroid:
         indep: Callable[[int], bool],
         descriptor: Optional[dict] = None,
         rank: Optional[Callable[[int], int]] = None,
+        gf2: Optional[Sequence[int]] = None,
     ):
+        if gf2 is not None and len(gf2) != ground.size:
+            raise ValueError("one GF(2) vector per element required")
         self.ground = ground
         self.kind = kind
         self.indep_mask = indep
         self.rank_mask = rank if rank is not None else self._greedy_rank
         self.descriptor = descriptor if descriptor is not None else {"kind": kind}
+        self.gf2: Optional[tuple[int, ...]] = None if gf2 is None else tuple(gf2)
         self._rank_full: Optional[int] = None
 
     def with_labels(self, labels: Sequence[str]) -> "Matroid":
-        """The same oracles and descriptor over a ground set with new labels."""
+        """The same oracles, vectors and descriptor over a ground set with new labels."""
         ground = GroundSet(self.ground.size, tuple(labels))
-        return Matroid(ground, self.kind, self.indep_mask, self.descriptor, self.rank_mask)
+        return Matroid(ground, self.kind, self.indep_mask, self.descriptor, self.rank_mask,
+                       self.gf2)
 
     def is_independent(self, subset: ElementSet) -> bool:
         if subset.universe.size != self.ground.size:
@@ -742,7 +786,8 @@ def with_query_log(matroid: Matroid) -> tuple[Matroid, QueryLog]:
     The wrapper answers exactly as the original; only the log is new.  It
     does not forward the original's native rank: a rank query on the
     wrapper is a greedy scan through the logged oracle, so every
-    independence query a rank costs is recorded.
+    independence query a rank costs is recorded.  Nor does it forward
+    the GF(2) vectors, so no search answers from them past the log.
     """
     log = QueryLog(matroid.ground)
     answers = log.answers

@@ -71,15 +71,17 @@ class MultiGraph(Record):
 
     @staticmethod
     def build(vertex_count: int, edges: Iterable) -> "MultiGraph":
-        """Accept (u, v) or (u, v, label) items; unlabeled edges get e{i}."""
+        """Accept (u, v) or (u, v, label) items, the label a string;
+        unlabeled edges get e{i}."""
         norm = []
         for i, e in enumerate(edges):
             if len(e) == 2:
-                u, v = e
-                label = f"e{i}"
-            else:
+                (u, v), label = e, f"e{i}"
+            elif len(e) == 3 and isinstance(e[2], str):
                 u, v, label = e
-            norm.append((int(u), int(v), str(label)))
+            else:
+                raise ValueError(f"edge {i} must be two endpoints and an optional string label")
+            norm.append((int(u), int(v), label))
         return MultiGraph(vertex_count, tuple(norm))
 
     def __post_init__(self) -> None:

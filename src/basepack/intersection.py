@@ -13,7 +13,14 @@ matroids.  Then each phase finds the sources and sinks of the exchange
 graph once, layers it by breadth-first distance from the sources up to
 the first layer holding a sink, and augments along as many shortest
 paths as a depth-first walk through consecutive layers finds.  The
-layers come from circuit queries, not from one test per arc, as in
+greedy scan and the scans for sinks, sources and even layers ask "is
+B + x independent?" for many x and one base set B, so each asks a class
+state built at B (:func:`core.element_states`): for a matroid with
+GF(2) vectors, an echelon basis of B's vectors that reduces each x's
+vector and asks no oracle; otherwise the mask adapter, which asks the
+oracle about B + x.  The circuit searches and the walk always ask the
+oracle.  The layers come from circuit queries, not from one test per
+arc, as in
 Chakrabarty, Lee, Sidford, Singla and Wong ("Faster Matroid
 Intersection", FOCS 2019) and Nguyen (2019): a vertex that is no source
 (or no sink) closes a unique circuit with the current set, so one query
@@ -33,7 +40,9 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .core import ElementSet, GroundSet, Matroid, Record, UniverseMismatch
+from .core import (
+    ElementSet, GroundSet, Matroid, Record, StateAt, UniverseMismatch, element_states,
+)
 from .constructions import direct_sum_all
 
 
@@ -43,22 +52,26 @@ def max_common_independent(m1: Matroid, m2: Matroid) -> ElementSet:
     Starts from the greedy common independent set in index order, then
     augments in phases along shortest source-sink paths of the exchange
     graph, all paths of one length per phase.  Ties break by ascending
-    element index, so runs are reproducible.
+    element index, so runs are reproducible.  The answer is the same
+    whether or not the matroids carry GF(2) vectors; only the oracle
+    queries differ.
     """
     if m1.ground.size != m2.ground.size:
         raise UniverseMismatch("matroids must share a ground set")
-    n = m1.ground.size
-    i1, i2 = m1.indep_mask, m2.indep_mask
+    at1, at2 = element_states(m1), element_states(m2)
+    s1, s2 = at1(0), at2(0)
     current = 0
-    for e in range(n):
-        grown = current | 1 << e
-        if i1(grown) and i2(grown):
-            current = grown
+    for e in range(m1.ground.size):
+        x = 1 << e
+        if s1.fits(x) and s2.fits(x):
+            s1.add(x)
+            s2.add(x)
+            current |= x
     while True:
-        layers = _distance_layers(i1, i2, current, n)
+        layers = _distance_layers(m1, m2, at1, at2, current)
         if layers is None:
             return ElementSet.from_mask(m1.ground, current)
-        current = _augment_phase(i1, i2, current, layers)
+        current = _augment_phase(m1.indep_mask, m2.indep_mask, current, layers)
 
 
 # Arcs of the exchange graph of I: x -> y (x outside, y inside) when
@@ -69,10 +82,15 @@ def max_common_independent(m1: Matroid, m2: Matroid) -> ElementSet:
 
 
 def _distance_layers(
-    i1: Callable[[int], bool], i2: Callable[[int], bool], current: int, n: int
+    m1: Matroid, m2: Matroid, at1: StateAt, at2: StateAt, current: int
 ) -> Optional[list[list[int]]]:
     """Breadth-first layers from the sources up to the first layer holding
     a sink, which keeps only its sinks; None when no sink is reachable.
+
+    ``at1`` and ``at2`` are :func:`core.element_states` of the two
+    matroids: the sinks, the sources and each even layer come from one
+    state built at a base set, and m2's oracle answers the circuit
+    searches.
 
     Each layer comes from circuit tests rather than one test per arc.
     An unseen outside x is no source, so I + x holds a unique m1-circuit,
@@ -85,11 +103,14 @@ def _distance_layers(
     O(log n) queries, and one more query shows that none is left.  Layers
     are sorted, so they equal those of the all-pairs arc tests.
     """
+    n, i2 = m1.ground.size, m2.indep_mask
     outside = [e for e in range(n) if not current >> e & 1]
-    sinks = {x for x in outside if i2(current | 1 << x)}
+    fits = at2(current).fits
+    sinks = {x for x in outside if fits(1 << x)}
     if not sinks:
         return None
-    layer = [x for x in outside if i1(current | 1 << x)]
+    fits = at1(current).fits
+    layer = [x for x in outside if fits(1 << x)]
     seen = set(layer)
     unseen_inside = [e for e in range(n) if current >> e & 1]
     layers = []
@@ -111,7 +132,8 @@ def _distance_layers(
             without = current
             for y in layer:
                 without ^= 1 << y
-            nxt = [x for x in outside if x not in seen and i1(without | 1 << x)]
+            fits = at1(without).fits
+            nxt = [x for x in outside if x not in seen and fits(1 << x)]
         seen.update(nxt)
         layer = nxt
     return None
@@ -213,9 +235,10 @@ def partition_into_independent(matroid: Matroid, k: int) -> PartitionVerdict:
     partition matroid with one block of copies per element, computed in
     closed form: it ORs the copy slices together and fails on the first
     overlap.  The engine asks only independence, so the chooser supplies
-    no closed-form rank.  A common independent set of full size assigns each
-    element a class; the verdict holds one class per copy, so at most k
-    of them.
+    no closed-form rank.  Nor does it carry GF(2) vectors: its closed form
+    answers in fewer steps than a basis reduction.  A common independent
+    set of full size assigns each element a class; the verdict holds one
+    class per copy, so at most k of them.
     """
     if k < 1:
         raise ValueError("k must be positive")

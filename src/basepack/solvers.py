@@ -58,8 +58,10 @@ def solve_common_bases(
 
     Assigns the elements in index order to the k classes with
     :func:`split_blocks`, which breaks the symmetry between classes and
-    prunes on class size and on independence in both matroids.  At k = 2
-    the first answer is the lexicographically first valid first class.
+    prunes on class size and on independence in both matroids.  When both
+    carry GF(2) vectors, each class keeps a :class:`Gf2Basis` of them and
+    asks no oracle.  At k = 2 the first answer is the lexicographically
+    first valid first class.
     """
     n = inst.ground.size
     if n > cap:
@@ -67,10 +69,13 @@ def solve_common_bases(
     r1, r2 = inst.m1.full_rank, inst.m2.full_rank
     if r1 != r2 or n != inst.k * r1:
         return None
-    i1, i2 = inst.m1.indep_mask, inst.m2.indep_mask
-    classes = next(
-        split_blocks([1 << e for e in range(n)], inst.k, r1, lambda m: i1(m) and i2(m)), None
-    )
+    blocks = [1 << e for e in range(n)]
+    if inst.m1.gf2 is not None and inst.m2.gf2 is not None:
+        indep = Gf2Basis.states(inst.k, blocks, inst.m1.gf2, inst.m2.gf2)
+    else:
+        i1, i2 = inst.m1.indep_mask, inst.m2.indep_mask
+        indep = lambda m: i1(m) and i2(m)
+    classes = next(split_blocks(blocks, inst.k, r1, indep), None)
     if classes is None:
         return None
     return PartitionCertificate.from_masks(inst.ground, classes)
@@ -101,13 +106,18 @@ def solve_modular_bases(
 
     Also answers parity instances, whose modules are pairs; those whose
     size is not twice the rank are infeasible by counting and answered
-    None directly.  Prunes on class size and on independence.
+    None directly.  Prunes on class size and on independence, through a
+    :class:`Gf2Basis` per class when the matroid carries GF(2) vectors.
     """
     matroid = inst.matroid
     r = matroid.full_rank
     if matroid.ground.size != 2 * r:
         return None
-    return _split_modules(matroid.ground, inst.modules.blocks, r, matroid.indep_mask)
+    blocks = inst.modules.blocks
+    indep = matroid.indep_mask
+    if matroid.gf2 is not None:
+        indep = Gf2Basis.states(2, [b.mask for b in blocks], matroid.gf2)
+    return _split_modules(matroid.ground, blocks, r, indep)
 
 
 solve_parity_bases = solve_modular_bases

@@ -18,12 +18,15 @@ from basepack.constructions import (
     HyperplaneFamily,
     PartitionOfGroundSet,
     direct_sum,
+    direct_sum_all,
     dual,
     free_matroid,
     graphic_matroid,
     linear_matroid,
+    parallel_copies,
     partition_matroid,
     paving_matroid,
+    relabel,
     transversal_matroid,
     truncate,
     uniform_matroid,
@@ -533,6 +536,67 @@ def random_matroid(rng: random.Random, n: int, kind: str | None = None) -> Matro
             out = dual(out)
         return out
     return uniform_matroid(ground, rng.randint(0, n))
+
+
+BINARY_KINDS = ("free", "graphic", "linear", "partition", "sum", "relabel", "copies")
+
+
+def random_binary_matroid(rng: random.Random, n: int, kind: str | None = None) -> Matroid:
+    """A random small matroid that carries GF(2) vectors: a free, graphic,
+    GF(2) linear or 0/1-capped partition matroid, or a direct sum,
+    relabeling or parallel copies of such matroids."""
+    if kind is None:
+        kind = rng.choice(BINARY_KINDS)
+    ground = GroundSet(n)
+    if kind == "graphic" and n:
+        return graphic_matroid(random_multigraph(rng, n))
+    if kind == "linear" and n:
+        rows = rng.randint(1, n)
+        entries = [[rng.randrange(2) for _ in range(n)] for _ in range(rows)]
+        return linear_matroid(Matrix.build(gf(2), entries))
+    if kind == "partition" and n:
+        part = random_partition(rng, ground, 3)
+        return partition_matroid(part, [rng.randint(0, 1) for _ in part.blocks])
+    if kind == "sum" and n >= 2:
+        cut = rng.randint(1, n - 1)
+        return direct_sum_all([random_binary_matroid(rng, cut), random_binary_matroid(rng, n - cut)])
+    if kind == "relabel" and n:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        return relabel(random_binary_matroid(rng, n), perm)
+    if kind == "copies" and n % 2 == 0 and n:
+        return parallel_copies(random_binary_matroid(rng, n // 2), 2)
+    return free_matroid(ground)
+
+
+def random_binary_matroid_of_rank(rng: random.Random, n: int, r: int) -> Matroid:
+    """A random binary matroid on n elements with rank exactly r: a graphic
+    one on r + 1 vertices, a GF(2) linear one with r rows or a partition
+    one with r blocks of cap 1, each tried until its rank is r."""
+    while True:
+        kind = rng.choice(("graphic", "linear", "partition"))
+        if kind == "graphic":
+            edges = [(rng.randrange(r + 1), rng.randrange(r + 1)) for _ in range(n)]
+            m = graphic_matroid(MultiGraph.build(r + 1, edges))
+        elif kind == "linear":
+            entries = [[rng.randrange(2) for _ in range(n)] for _ in range(r)]
+            m = linear_matroid(Matrix.build(gf(2), entries))
+        else:
+            blocks: list[list[int]] = [[] for _ in range(r + 1)]
+            for e in range(n):
+                blocks[rng.randrange(r + 1)].append(e)
+            blocks = [b for b in blocks if b]
+            caps = [1] * min(r, len(blocks)) + [0] * (len(blocks) - min(r, len(blocks)))
+            rng.shuffle(caps)
+            m = partition_matroid(PartitionOfGroundSet.build(GroundSet(n), blocks), caps)
+        if m.full_rank == r:
+            return m
+
+
+def without_vectors(matroid: Matroid) -> Matroid:
+    """The same oracles without the GF(2) vectors, so every search asks them."""
+    return Matroid(matroid.ground, matroid.kind, matroid.indep_mask, matroid.descriptor,
+                   matroid.rank_mask)
 
 
 def random_matroid_of_rank(rng: random.Random, n: int, r: int) -> Matroid:

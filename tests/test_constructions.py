@@ -676,6 +676,69 @@ class TestCombinators:
             relabel(free_matroid(GroundSet(2)), [0, 0])
 
 
+# Small matroids with GF(2) vectors: loops, parallel edges, a zero column,
+# repeated columns, and partition blocks under caps 0 and 1.
+LOOPY = MultiGraph.build(4, [(0, 1), (0, 1), (1, 2), (2, 2), (2, 3), (3, 1)])
+GF2_MATRIX = Matrix.build(gf(2), [[1, 0, 1, 1, 0], [0, 1, 1, 1, 0], [0, 0, 0, 0, 0]])
+CAP01 = PartitionOfGroundSet.build(GroundSet(6), [[0, 3], [1], [2, 4, 5]])
+
+
+def binary_cases() -> dict:
+    free = free_matroid(GroundSet(3))
+    graphic = graphic_matroid(LOOPY)
+    linear = linear_matroid(GF2_MATRIX)
+    partition = partition_matroid(CAP01, [1, 0, 1])
+    return {
+        "free": free, "graphic": graphic, "linear-gf2": linear, "partition-01": partition,
+        "sum": direct_sum_all([free, graphic_matroid(MultiGraph.build(2, [(0, 0), (0, 1), (1, 0)])),
+                               partition_matroid(CAP01, [0, 1, 1])]),
+        "relabel": relabel(graphic, [3, 0, 5, 1, 4, 2]),
+        "copies": parallel_copies(linear, 2),
+        "relabel-of-sum": relabel(direct_sum(linear, free), [7, 2, 0, 4, 6, 1, 3, 5]),
+        "copies-of-sum": parallel_copies(direct_sum(partition_matroid(
+            PartitionOfGroundSet.build(GroundSet(3), [[0, 2], [1]]), [1, 1]), free), 2),
+        "labelled": graphic.with_labels("abcdef"),
+    }
+
+
+def non_binary_cases() -> dict:
+    graphic = graphic_matroid(LOOPY)
+    return {
+        "uniform": uniform_matroid(GroundSet(4), 2),
+        "transversal": transversal_matroid(random_bipartite(random.Random(3), 4, 3)),
+        "paving": paving_matroid(HyperplaneFamily.build(GroundSet(5), 3, [[0, 1, 2]])),
+        "truncation": truncate(graphic, 2),
+        "dual": dual(graphic),
+        "linear-gf3": linear_matroid(Matrix.build(gf(3), [[1, 0, 1], [0, 1, 1]])),
+        "partition-cap-2": partition_matroid(CAP01, [1, 0, 2]),
+        "sum-with-cap-2": direct_sum(graphic, partition_matroid(CAP01, [2, 1, 1])),
+        "logged": with_query_log(graphic)[0],
+    }
+
+
+class TestGf2Vectors:
+    @pytest.mark.parametrize("name", binary_cases())
+    def test_vectors_are_independent_exactly_on_independent_sets(self, name):
+        m = binary_cases()[name]
+        assert m.gf2 is not None and len(m.gf2) == m.ground.size
+        for mask in range(1 << m.ground.size):
+            chosen = [m.gf2[e] for e in bits_of(mask)]
+            assert gf2_independent(chosen) == m.indep_mask(mask), (name, mask)
+
+    @pytest.mark.parametrize("name", binary_cases())
+    def test_descriptor_round_trip_keeps_the_vectors(self, name):
+        m = binary_cases()[name]
+        assert matroid_from_descriptor(m.descriptor).gf2 == m.gf2
+
+    @pytest.mark.parametrize("name", non_binary_cases())
+    def test_other_kinds_carry_none(self, name):
+        assert non_binary_cases()[name].gf2 is None
+
+    def test_one_vector_per_element(self):
+        with pytest.raises(ValueError, match="one GF"):
+            Matroid(GroundSet(2), "ad-hoc", lambda mask: True, gf2=[1])
+
+
 class TestAxiomsAcrossConstructions:
     def test_constructions_pass_axioms(self):
         rng = random.Random(53)

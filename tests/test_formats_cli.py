@@ -574,6 +574,22 @@ def test_graph_endpoints_must_be_integer_arrays(argv, data, message, monkeypatch
     assert err == f"error: {message} must be a list of arrays with two integer endpoints\n"
 
 
+# Each of these used to exit 0, the third edge item read with str().
+@pytest.mark.parametrize("edges, bad", [
+    ([[0, 1, {"x": 1}], [0, 1, [2]]], 0),
+    ([[0, 1, "a"], [0, 1, [2]]], 1),
+    ([[0, 1, None], [0, 1, 7]], 0),
+    ([[0, 1, "a"], [1, 2, "b", "c"]], 1),
+], ids=["object", "list", "null-and-number", "fourth-item"])
+def test_graphic_edge_labels_must_be_strings(edges, bad, monkeypatch, capsys):
+    descriptor = {"kind": "graphic", "graph": {"vertices": 3, "edges": edges}}
+    code, out, err = run_cli(["axioms", "-"], stdin_text=json.dumps(descriptor),
+                             monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == (f"error: bad matroid descriptor: edge {bad} must be two endpoints "
+                   "and an optional string label\n")
+
+
 class TestCertificatePayloads:
     @pytest.mark.parametrize("case", BAD_CERTIFICATES.values(), ids=BAD_CERTIFICATES.keys())
     def test_bad_payload_is_exit_two(self, case, monkeypatch, capsys, tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basepack import intersection
-from basepack.core import GroundSet, Matroid, UniverseMismatch
+from basepack.core import GroundSet, Matroid, UniverseMismatch, element_states
 from basepack.constructions import (
     PartitionOfGroundSet,
     direct_sum_all,
@@ -39,8 +39,11 @@ from helpers import (
     random_bipartite,
     random_matroid,
     random_multigraph,
+    random_binary_matroid,
+    random_connected_multigraph,
     random_partition,
     reference_distance_layers,
+    without_vectors,
 )
 from test_pipeline import FORMULA
 
@@ -100,13 +103,15 @@ class TestMaxCommonIndependent:
 
 def checked_layering(monkeypatch) -> list:
     """Make the engine check each phase's layers against the all-pairs
-    reference; returns the list the checked layers are appended to."""
+    reference, which asks the oracles even where the engine reduces GF(2)
+    vectors; returns the list the checked layers are appended to."""
     engine = intersection._distance_layers
     phases = []
 
-    def checked(i1, i2, current, n):
-        got = engine(i1, i2, current, n)
-        assert got == reference_distance_layers(i1, i2, current, n)
+    def checked(m1, m2, at1, at2, current):
+        got = engine(m1, m2, at1, at2, current)
+        assert got == reference_distance_layers(
+            m1.indep_mask, m2.indep_mask, current, m1.ground.size)
         phases.append(got)
         return got
 
@@ -132,9 +137,10 @@ class TestLayersEqualAllPairsReference:
             n = rng.randint(4, 10)
             m1, m2 = random_matroid(rng, n), random_matroid(rng, n)
             i1, i2 = m1.indep_mask, m2.indep_mask
+            at1, at2 = element_states(m1), element_states(m2)
             for mask in range(1 << n):
                 if i1(mask) and i2(mask):
-                    got = intersection._distance_layers(i1, i2, mask, n)
+                    got = intersection._distance_layers(m1, m2, at1, at2, mask)
                     assert got == reference_distance_layers(i1, i2, mask, n)
                     deep += got is not None and len(got) > 1
         assert deep >= 20
@@ -366,3 +372,60 @@ def test_layers_equal_all_pairs_reference_on_structured_pairs(pair):
         phases = checked_layering(monkeypatch)
         max_common_independent(m1, m2)
     assert phases
+
+
+@st.composite
+def binary_pairs(draw):
+    """Two random matroids over one ground set, each with GF(2) vectors, or
+    now and then one side without them."""
+    n = draw(st.integers(0, 12))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    m1, m2 = random_binary_matroid(rng, n), random_binary_matroid(rng, n)
+    if draw(st.integers(0, 3)) == 0:
+        m2 = random_matroid(rng, n)
+    return m1, m2
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(binary_pairs())
+def test_intersection_answers_alike_with_and_without_vectors(pair):
+    m1, m2 = pair
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        checked_layering(monkeypatch)
+        common = max_common_independent(m1, m2)
+    assert common == max_common_independent(without_vectors(m1), without_vectors(m2))
+    assert len(common) == naive_max_common(m1, m2)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(binary_pairs(), st.integers(1, 4))
+def test_partition_answers_alike_with_and_without_vectors(pair, k):
+    m = pair[0]
+    assert partition_into_independent(m, k) == partition_into_independent(without_vectors(m), k)
+
+
+def test_vectors_save_forest_queries(monkeypatch):
+    # A graphic matroid on 33 vertices and 96 edges against one element of
+    # each of 32 triples: 506 forest queries when every scan asks the
+    # oracle, 63 when the greedy start and the scans reduce vectors.
+    calls = []
+    forest = MultiGraph.is_forest_mask
+
+    def counted_forest(graph, mask):
+        calls.append(mask)
+        return forest(graph, mask)
+
+    monkeypatch.setattr(MultiGraph, "is_forest_mask", counted_forest)
+    rng = random.Random(20)
+    graphic = graphic_matroid(random_connected_multigraph(rng, 33, 96))
+    order = list(range(96))
+    rng.shuffle(order)
+    triples = PartitionOfGroundSet.build(GroundSet(96), [order[i:i + 3] for i in range(0, 96, 3)])
+    partition = partition_matroid(triples, [1] * 32)
+    common = max_common_independent(graphic, partition)
+    with_vectors = len(calls)
+    calls.clear()
+    assert max_common_independent(without_vectors(graphic), without_vectors(partition)) == common
+    assert len(common) == 32
+    assert len(calls) == 506
+    assert with_vectors <= 63

@@ -53,8 +53,10 @@ from helpers import (
     random_connected_multigraph,
     random_digraph,
     random_modular_instance,
+    random_binary_matroid_of_rank,
     random_partition,
     reference_split_blocks,
+    without_vectors,
 )
 
 
@@ -524,3 +526,25 @@ class TestVerifierRejections:
             cert = solve_modular_bases(inst)
             if cert is not None:
                 assert verify_certificate("modular-bases", inst, cert).ok
+
+
+@st.composite
+def binary_instances(draw):
+    """A common-bases pair and a modular instance on n elements, each
+    matroid binary with rank n / 2."""
+    n = 2 * draw(st.integers(1, 7))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    m1, m2, m = (random_binary_matroid_of_rank(rng, n, n // 2) for _ in range(3))
+    return CommonBasesInstance(m1, m2, 2), ModularInstance(m, random_partition(rng, m.ground))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(binary_instances())
+def test_searches_answer_alike_with_and_without_vectors(instances):
+    common, modular = instances
+    assert common.m1.gf2 is not None and modular.matroid.gf2 is not None
+    stripped = CommonBasesInstance(without_vectors(common.m1), without_vectors(common.m2), 2)
+    assert solve_common_bases(common) == solve_common_bases(stripped)
+    assert (solve_modular_bases(modular)
+            == solve_modular_bases(ModularInstance(without_vectors(modular.matroid),
+                                                   modular.modules)))
