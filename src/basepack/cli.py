@@ -133,6 +133,7 @@ def cmd_gadget(args) -> int:
         DEFAULT_LABELING,
         BlockLabeling,
         build_gadget,
+        check_verify_ell,
         search_block_labeling,
         verify_gadget,
     )
@@ -145,6 +146,7 @@ def cmd_gadget(args) -> int:
     if args.labeling:
         data = read_json(args.labeling, sys.stdin)
         labeling = read_payload(data, (BlockLabeling,), "gadget labeling")
+    check_verify_ell(args.ell)  # building a large pair alone costs gigabytes
     pair = build_gadget(labeling, args.ell)
     cert = verify_gadget(pair)
     _emit(cert.to_json(), args.pretty)

@@ -11,10 +11,10 @@ agree, and no field extensions are needed.  Every constructor and
 combinator also supplies its rank in closed form (a count, one
 union-find pass, one elimination, one maximum matching, or one call per
 inner rank), so a rank query on a tree built here never falls back to a
-greedy scan of an independence oracle.  Free, graphic, GF(2) linear and
+greedy scan of an independence oracle.  Graphic, GF(2) linear and
 0/1-capped partition matroids, and their direct sums, relabelings and
 parallel copies, also carry GF(2) vectors (:attr:`Matroid.gf2`); no other
-kind does.
+kind does, not even free matroids (unit vectors take n^2 / 2 bits).
 """
 
 from __future__ import annotations
@@ -91,8 +91,7 @@ class HyperplaneFamily(Record):
 def free_matroid(ground: GroundSet) -> Matroid:
     """Every subset independent."""
     desc = {"kind": "free", "size": ground.size}
-    return Matroid(ground, "free", lambda mask: True, desc, int.bit_count,
-                   [1 << e for e in range(ground.size)])
+    return Matroid(ground, "free", lambda mask: True, desc, int.bit_count)
 
 
 def uniform_matroid(ground: GroundSet, r: int) -> Matroid:

@@ -16,6 +16,7 @@ the wrapper across threads.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 DEFAULT_EXHAUSTIVE_CAP = 24
@@ -171,8 +172,8 @@ class Gf2Basis:
     basis over GF(2) per table of element vectors.  A block fits when each
     basis stays independent with the block's vectors added.
 
-    Each table maps a block mask to the vectors of its elements; one
-    search shares its tables between the classes.  A basis maps each
+    Each table, shared by the states of one :func:`gf2_states` maker,
+    maps a block mask to the vectors of its elements.  A basis maps each
     pivot, the bit length of one of its vectors, to that vector.  A new
     vector is reduced by the basis vector whose pivot is its bit length
     until it is zero (dependent) or its bit length is a free pivot, so a
@@ -186,13 +187,6 @@ class Gf2Basis:
         self.tables = tables
         self.bases: list[dict[int, int]] = [{} for _ in tables]
         self.added: list[list[tuple[dict[int, int], int]]] = []  # (basis, pivot) pairs per add
-
-    @staticmethod
-    def states(k: int, blocks: Iterable[int], *vectors: Sequence[int]) -> list["Gf2Basis"]:
-        """Fresh states for ``k`` classes, one basis per list that gives
-        each element's vector."""
-        tables = [{b: tuple([vec[e] for e in bits_of(b)]) for b in blocks} for vec in vectors]
-        return [Gf2Basis(tables) for _ in range(k)]
 
     def fits(self, block: int) -> bool:
         """Whether each basis stays independent with the block's vectors;
@@ -235,7 +229,7 @@ def _place(basis: dict[int, int], v: int) -> int:
     return top
 
 
-class _MaskState:
+class MaskState:
     """The class state behind a plain hereditary ``indep(mask)``, holding
     ``mask`` to start with; ``fits(block)`` is one query of the grown mask."""
 
@@ -258,36 +252,51 @@ class _MaskState:
 
 
 # A maker of class states that each hold a given base set.
-StateAt = Callable[[int], "Gf2Basis | _MaskState"]
+StateAt = Callable[[int], "Gf2Basis | MaskState"]
 
 
-def element_states(matroid: "Matroid") -> StateAt:
-    """A maker of class states of ``matroid`` over one-element blocks:
-    ``at(base)`` holds the independent set ``base``, and its ``fits(1 << x)``
-    says whether base + x is independent.  The state is a :class:`Gf2Basis`
-    of the matroid's vectors when it has them, so a test asks no oracle,
-    and otherwise the mask adapter, so a test is one oracle query."""
-    vectors = matroid.gf2
-    if vectors is None:
-        indep = matroid.indep_mask
-        return lambda base: _MaskState(indep, base)
-    tables = [{1 << e: (v,) for e, v in enumerate(vectors)}]
+def gf2_states(blocks: Sequence[int], *vectors: Sequence[int]) -> StateAt:
+    """A maker of :class:`Gf2Basis` class states over ``blocks``, one basis
+    per list of element vectors; ``at(base)`` holds the vectors of ``base``
+    for good.  The tables are built once, and when the blocks are distinct
+    single elements each takes its one vector without a bit walk."""
+    single = sum(blocks).bit_count() == len(blocks)  # iff no carries and all blocks are one bit
+    tables = [{b: (vec[b.bit_length() - 1],) if single else tuple([vec[e] for e in bits_of(b)])
+               for b in blocks} for vec in vectors]
 
     def at(base: int) -> Gf2Basis:
         state = Gf2Basis(tables)
-        basis = state.bases[0]
-        for e in bits_of(base):
-            _place(basis, vectors[e])  # held for good: nothing to undo
+        for basis, vec in zip(state.bases, vectors):
+            for e in bits_of(base):
+                _place(basis, vec[e])  # held for good: nothing to undo
         return state
 
     return at
+
+
+def class_states(blocks: Sequence[int], *matroids: "Matroid") -> StateAt:
+    """A maker of class states over ``blocks`` that test independence in
+    each of ``matroids``: ``at(base)`` holds ``base``, independent in each,
+    and its ``fits(block)`` says whether base + block stays so.
+
+    The one place that chooses between vectors and oracle queries: with
+    GF(2) vectors (:attr:`Matroid.gf2`) on every matroid, :func:`gf2_states`
+    of them, which ask no oracle; otherwise mask adapters, which ask the
+    oracles in matroid order and stop at the first no.
+    """
+    vectors = [m.gf2 for m in matroids]
+    if None not in vectors:
+        return gf2_states(blocks, *vectors)
+    indep = functools.reduce(lambda first, then: lambda mask: first(mask) and then(mask),
+                             [m.indep_mask for m in matroids])
+    return lambda base: MaskState(indep, base)
 
 
 def split_blocks(
     blocks: Sequence[int],
     k: int,
     cap: int,
-    indep: Callable[[int], bool] | Sequence[Gf2Basis],
+    states: Sequence["Gf2Basis | MaskState"],
 ) -> Iterator[tuple[int, ...]]:
     """Yield every assignment of the disjoint ``blocks`` masks to ``k`` classes.
 
@@ -301,12 +310,11 @@ def split_blocks(
     assignment, depth-first with an explicit stack, so the block count is
     not bounded by the recursion limit.
 
-    The test is asked through one state per class: ``fits(block)`` says
-    whether the class may take the block, ``add(block)`` puts a fitting
-    block in, and ``undo()`` takes the latest added block out again; the
-    search undoes in stack order.  ``indep`` is either ``k`` such states,
-    such as :meth:`Gf2Basis.states`, or a plain ``indep(mask)`` on the
-    grown class mask, which a few-line adapter turns into states.
+    The test is asked through ``states``, one per class: ``fits(block)``
+    says whether the class may take the block, ``add(block)`` puts a
+    fitting block in, and ``undo()`` takes the latest added block out
+    again, in stack order.  :func:`class_states` makes states for
+    matroids and :class:`MaskState` for a plain test of the grown mask.
 
     The test must be hereditary: if it rejects a class, it rejects every
     superset.  From the search's first dead end on, each placement is
@@ -329,7 +337,6 @@ def split_blocks(
     if not all(blocks):
         raise ValueError("split_blocks needs non-empty blocks")
     n = len(blocks)
-    states = [_MaskState(indep) for _ in range(k)] if callable(indep) else indep
     classes = [0] * k
     where = [-1] * n  # class holding block i, -1 while unplaced
     trail: list[int] = []  # placed blocks, chosen and forced, in placement order
@@ -498,14 +505,14 @@ class Matroid:
 
     ``gf2``, when given, holds one int per element: its vector over GF(2),
     bit i the i-th coordinate.  It may be given only where a set is
-    independent exactly when its vectors are linearly independent; the
-    exhaustive searches and the intersection engine then reduce vectors
-    (:func:`element_states`, :meth:`Gf2Basis.states`) instead of asking
-    the oracle.  The builders in :mod:`basepack.constructions` set it for
-    free, graphic, GF(2) linear and 0/1-capped partition matroids, and
-    for sums, relabelings and parallel copies of those.  A matroid built
-    around another's oracle without passing it on has none: a wrapper
-    such as :func:`with_query_log` sees every query its callers make.
+    independent exactly when its vectors are linearly independent; then
+    :func:`class_states`, its only reader outside the constructors, has
+    the searches reduce vectors instead of asking the oracle.  Those in
+    :mod:`basepack.constructions` set it for graphic, GF(2) linear and
+    0/1-capped partition matroids, and for sums, relabelings and parallel
+    copies of those.  A matroid built around another's oracle without
+    passing it on has none: a wrapper such as :func:`with_query_log` sees
+    every query its callers make.
     """
 
     __slots__ = ("ground", "kind", "indep_mask", "rank_mask", "descriptor", "gf2", "_rank_full")

@@ -28,7 +28,7 @@ import itertools
 import time
 from typing import Sequence
 
-from .core import ElementSet, Gf2Basis, Record, ResourceCapExceeded, is_string_list, split_blocks
+from .core import ElementSet, Record, ResourceCapExceeded, class_states, is_string_list, split_blocks
 from .constructions import graphic_matroid
 from .graphs import MultiGraph
 
@@ -217,6 +217,12 @@ class GadgetCertificate(Record):
         }
 
 
+def check_verify_ell(ell: int) -> None:
+    """Raise ResourceCapExceeded for ell > VERIFY_ELL_CAP, before any pair is built."""
+    if ell > VERIFY_ELL_CAP:
+        raise ResourceCapExceeded(f"gadget search capped at ell <= {VERIFY_ELL_CAP}")
+
+
 def verify_gadget(pair: GadgetPair) -> GadgetCertificate:
     """Exhaustively certify conditions (a) and (b) for a gadget pair.
 
@@ -224,13 +230,11 @@ def verify_gadget(pair: GadgetPair) -> GadgetCertificate:
     two classes independent in both matroids, the first element's side
     fixed (conditions (a) and (b) are symmetric under swapping the
     classes), and checks the sizes and the per-block structure of each.
-    A class is a forest in each graph iff its edges' incidence vectors are
-    independent, so each class keeps a :class:`Gf2Basis` per graph.
-    Refuses ell > VERIFY_ELL_CAP.
+    Each class asks the pair's two graphic matroids through
+    :func:`class_states`.  Refuses ell > VERIFY_ELL_CAP.
     """
     ell = pair.ell
-    if ell > VERIFY_ELL_CAP:
-        raise ResourceCapExceeded(f"gadget search capped at ell <= {VERIFY_ELL_CAP}")
+    check_verify_ell(ell)
     started = time.monotonic()
     n = 9 * ell
 
@@ -248,10 +252,8 @@ def verify_gadget(pair: GadgetPair) -> GadgetCertificate:
     split53_ok = True
 
     singletons = [1 << e for e in range(n)]
-    states = Gf2Basis.states(
-        2, singletons, pair.first_graph.incidence_vectors(), pair.second_graph.incidence_vectors()
-    )
-    for s1, s2 in split_blocks(singletons, 2, n, states):
+    at = class_states(singletons, pair.first_matroid, pair.second_matroid)
+    for s1, s2 in split_blocks(singletons, 2, n, [at(0), at(0)]):
         feasible += 1
         size1 = s1.bit_count()
         if {size1, n - size1} != target_sizes:

@@ -15,14 +15,13 @@ the first layer holding a sink, and augments along as many shortest
 paths as a depth-first walk through consecutive layers finds.  The
 greedy scan and the scans for sinks, sources and even layers ask "is
 B + x independent?" for many x and one base set B, so each asks a class
-state built at B (:func:`core.element_states`): for a matroid with
-GF(2) vectors, an echelon basis of B's vectors that reduces each x's
-vector and asks no oracle; otherwise the mask adapter, which asks the
-oracle about B + x.  The circuit searches and the walk always ask the
-oracle.  The layers come from circuit queries, not from one test per
-arc, as in
-Chakrabarty, Lee, Sidford, Singla and Wong ("Faster Matroid
-Intersection", FOCS 2019) and Nguyen (2019): a vertex that is no source
+state of one matroid over single elements, built at B by
+:func:`core.class_states`, which reduces GF(2) vectors where the
+matroid has them and asks its oracle about B + x otherwise.  The circuit
+searches and the walk always ask the oracle.  The layers come from
+circuit queries, not from one test per arc, as in Chakrabarty, Lee,
+Sidford, Singla and Wong ("Faster Matroid Intersection", FOCS 2019) and
+Nguyen (2019): a vertex that is no source
 (or no sink) closes a unique circuit with the current set, so one query
 asks whether that circuit meets a whole layer, and binary search over
 the unseen elements finds each neighbour in O(log n) queries.  The walk
@@ -40,9 +39,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .core import (
-    ElementSet, GroundSet, Matroid, Record, StateAt, UniverseMismatch, element_states,
-)
+from .core import ElementSet, GroundSet, Matroid, Record, StateAt, UniverseMismatch, class_states
 from .constructions import direct_sum_all
 
 
@@ -58,11 +55,11 @@ def max_common_independent(m1: Matroid, m2: Matroid) -> ElementSet:
     """
     if m1.ground.size != m2.ground.size:
         raise UniverseMismatch("matroids must share a ground set")
-    at1, at2 = element_states(m1), element_states(m2)
+    singles = [1 << e for e in range(m1.ground.size)]
+    at1, at2 = class_states(singles, m1), class_states(singles, m2)
     s1, s2 = at1(0), at2(0)
     current = 0
-    for e in range(m1.ground.size):
-        x = 1 << e
+    for x in singles:
         if s1.fits(x) and s2.fits(x):
             s1.add(x)
             s2.add(x)
@@ -87,10 +84,10 @@ def _distance_layers(
     """Breadth-first layers from the sources up to the first layer holding
     a sink, which keeps only its sinks; None when no sink is reachable.
 
-    ``at1`` and ``at2`` are :func:`core.element_states` of the two
-    matroids: the sinks, the sources and each even layer come from one
-    state built at a base set, and m2's oracle answers the circuit
-    searches.
+    ``at1`` and ``at2`` are :func:`core.class_states` of the two
+    matroids over single elements: the sinks, the sources and each even
+    layer come from one state built at a base set, and m2's oracle
+    answers the circuit searches.
 
     Each layer comes from circuit tests rather than one test per arc.
     An unseen outside x is no source, so I + x holds a unique m1-circuit,

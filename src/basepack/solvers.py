@@ -10,15 +10,18 @@ problem with oracle calls only, never enumeration.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .core import (
     DEFAULT_EXHAUSTIVE_CAP,
     ElementSet,
-    Gf2Basis,
     GroundSet,
+    MaskState,
     Record,
     ResourceCapExceeded,
+    StateAt,
+    class_states,
+    gf2_states,
     mask_of,
     split_blocks,
 )
@@ -58,10 +61,9 @@ def solve_common_bases(
 
     Assigns the elements in index order to the k classes with
     :func:`split_blocks`, which breaks the symmetry between classes and
-    prunes on class size and on independence in both matroids.  When both
-    carry GF(2) vectors, each class keeps a :class:`Gf2Basis` of them and
-    asks no oracle.  At k = 2 the first answer is the lexicographically
-    first valid first class.
+    prunes on class size and on independence in both matroids, asked
+    through :func:`class_states`.  At k = 2 the first answer is the
+    lexicographically first valid first class.
     """
     n = inst.ground.size
     if n > cap:
@@ -70,29 +72,22 @@ def solve_common_bases(
     if r1 != r2 or n != inst.k * r1:
         return None
     blocks = [1 << e for e in range(n)]
-    if inst.m1.gf2 is not None and inst.m2.gf2 is not None:
-        indep = Gf2Basis.states(inst.k, blocks, inst.m1.gf2, inst.m2.gf2)
-    else:
-        i1, i2 = inst.m1.indep_mask, inst.m2.indep_mask
-        indep = lambda m: i1(m) and i2(m)
-    classes = next(split_blocks(blocks, inst.k, r1, indep), None)
+    at = class_states(blocks, inst.m1, inst.m2)
+    classes = next(split_blocks(blocks, inst.k, r1, [at(0) for _ in range(inst.k)]), None)
     if classes is None:
         return None
     return PartitionCertificate.from_masks(inst.ground, classes)
 
 
 def _split_modules(
-    ground: GroundSet,
-    blocks: Sequence[ElementSet],
-    cap: int,
-    indep: Union[Callable[[int], bool], Sequence[Gf2Basis]],
+    ground: GroundSet, blocks: Sequence[ElementSet], cap: int, at: StateAt
 ) -> Optional[ModularCertificate]:
     """The first split of the modules into two classes of at most ``cap``
-    elements passing ``indep``, a test or class states as :func:`split_blocks`
-    takes them; modules go in by descending size, ties by index, and the
-    largest is pinned to the first class."""
+    elements, each class asking a state ``at(0)`` of the maker ``at``;
+    modules go in by descending size, ties by index, and the largest is
+    pinned to the first class."""
     order = sorted(blocks, key=lambda b: -len(b))
-    classes = next(split_blocks([b.mask for b in order], 2, cap, indep), None)
+    classes = next(split_blocks([b.mask for b in order], 2, cap, [at(0), at(0)]), None)
     if classes is None:
         return None
     first = [i for i, b in enumerate(blocks) if b.mask & classes[0]]
@@ -106,18 +101,16 @@ def solve_modular_bases(
 
     Also answers parity instances, whose modules are pairs; those whose
     size is not twice the rank are infeasible by counting and answered
-    None directly.  Prunes on class size and on independence, through a
-    :class:`Gf2Basis` per class when the matroid carries GF(2) vectors.
+    None directly.  Prunes on class size and on independence, asked
+    through :func:`class_states`.
     """
     matroid = inst.matroid
     r = matroid.full_rank
     if matroid.ground.size != 2 * r:
         return None
     blocks = inst.modules.blocks
-    indep = matroid.indep_mask
-    if matroid.gf2 is not None:
-        indep = Gf2Basis.states(2, [b.mask for b in blocks], matroid.gf2)
-    return _split_modules(matroid.ground, blocks, r, indep)
+    at = class_states([b.mask for b in blocks], matroid)
+    return _split_modules(matroid.ground, blocks, r, at)
 
 
 solve_parity_bases = solve_modular_bases
@@ -130,8 +123,8 @@ def solve_modular_trees(inst: ModularTreesInstance) -> Optional[ModularCertifica
     class may grow only while the edges outside it, which are the other
     class and every still-unassigned module, still connect the graph.
     This is what makes tightly packed instances tractable.  Both tests
-    are GF(2)-linear, so each class keeps two :class:`Gf2Basis` bases: a
-    class is a forest iff its edges' vertex-incidence vectors are
+    are GF(2)-linear, so each class keeps two bases (:func:`gf2_states`):
+    a class is a forest iff its edges' vertex-incidence vectors are
     independent, and the rest of the connected graph still connects iff
     the class's cut labels (:meth:`MultiGraph.cut_labels`) are, that is,
     iff the class is independent in the cographic matroid.
@@ -139,10 +132,8 @@ def solve_modular_trees(inst: ModularTreesInstance) -> Optional[ModularCertifica
     if not inst.shape_feasible():
         return None
     graph, blocks = inst.graph, inst.modules.blocks
-    states = Gf2Basis.states(
-        2, [b.mask for b in blocks], graph.incidence_vectors(), graph.cut_labels()
-    )
-    return _split_modules(graph.ground_set(), blocks, graph.vertex_count - 1, states)
+    at = gf2_states([b.mask for b in blocks], graph.incidence_vectors(), graph.cut_labels())
+    return _split_modules(graph.ground_set(), blocks, graph.vertex_count - 1, at)
 
 
 def solve_naesat(
@@ -183,7 +174,8 @@ def solve_naesat(
                 return False
         return True
 
-    classes = next(split_blocks([1 << p for p in range(2 * n)], 2, n, no_whole_edge), None)
+    states = [MaskState(no_whole_edge), MaskState(no_whole_edge)]
+    classes = next(split_blocks([1 << p for p in range(2 * n)], 2, n, states), None)
     if classes is None:
         return None
     return AssignmentCertificate(tuple(bool(classes[1] >> p & 1) for p in position))

@@ -538,13 +538,19 @@ def random_matroid(rng: random.Random, n: int, kind: str | None = None) -> Matro
     return uniform_matroid(ground, rng.randint(0, n))
 
 
-BINARY_KINDS = ("free", "graphic", "linear", "partition", "sum", "relabel", "copies")
+BINARY_KINDS = ("identity", "graphic", "linear", "partition", "sum", "relabel", "copies")
+
+
+def gf2_identity_matroid(n: int) -> Matroid:
+    """The free matroid on n elements as the GF(2) linear matroid of the
+    identity matrix, so that it carries unit vectors (free_matroid has none)."""
+    return linear_matroid(Matrix.build(gf(2), [[int(r == c) for c in range(n)] for r in range(n)]))
 
 
 def random_binary_matroid(rng: random.Random, n: int, kind: str | None = None) -> Matroid:
-    """A random small matroid that carries GF(2) vectors: a free, graphic,
-    GF(2) linear or 0/1-capped partition matroid, or a direct sum,
-    relabeling or parallel copies of such matroids."""
+    """A random small matroid that carries GF(2) vectors: a GF(2) identity,
+    graphic, GF(2) linear or 0/1-capped partition matroid, or a direct
+    sum, relabeling or parallel copies of such matroids."""
     if kind is None:
         kind = rng.choice(BINARY_KINDS)
     ground = GroundSet(n)
@@ -566,7 +572,7 @@ def random_binary_matroid(rng: random.Random, n: int, kind: str | None = None) -
         return relabel(random_binary_matroid(rng, n), perm)
     if kind == "copies" and n % 2 == 0 and n:
         return parallel_copies(random_binary_matroid(rng, n // 2), 2)
-    return free_matroid(ground)
+    return gf2_identity_matroid(n)
 
 
 def random_binary_matroid_of_rank(rng: random.Random, n: int, r: int) -> Matroid:

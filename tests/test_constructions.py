@@ -3,6 +3,7 @@
 import random
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,12 @@ import pytest
 from basepack.core import (
     Gf2Basis,
     GroundSet,
+    MaskState,
     Matroid,
     bits_of,
     check_independence_axioms,
+    class_states,
+    gf2_states,
     rank,
     with_query_log,
 )
@@ -40,6 +44,7 @@ from basepack.graphs import BipartiteGraph, MultiGraph, augment, union_find
 
 from helpers import (
     MATROID_KINDS,
+    gf2_identity_matroid,
     gf2_independent,
     oracle_equal,
     random_bipartite,
@@ -134,7 +139,7 @@ class TestGraphic:
             n, edges, m = graph.vertex_count, graph.edges, graph.edge_count
             labels, components, full = graph.cut_labels(), graph.component_count(), (1 << m) - 1
             connected += components == 1
-            state = Gf2Basis.states(1, range(1 << m), labels)[0]
+            state = gf2_states(range(1 << m), labels)(0)
             for mask in range(1 << m):
                 independent = gf2_independent([labels[e] for e in range(m) if mask >> e & 1])
                 assert independent == (union_find(n, edges, full ^ mask) == components)
@@ -684,19 +689,21 @@ CAP01 = PartitionOfGroundSet.build(GroundSet(6), [[0, 3], [1], [2, 4, 5]])
 
 
 def binary_cases() -> dict:
-    free = free_matroid(GroundSet(3))
+    identity = gf2_identity_matroid(3)  # free matroids carry no vectors
     graphic = graphic_matroid(LOOPY)
     linear = linear_matroid(GF2_MATRIX)
     partition = partition_matroid(CAP01, [1, 0, 1])
     return {
-        "free": free, "graphic": graphic, "linear-gf2": linear, "partition-01": partition,
-        "sum": direct_sum_all([free, graphic_matroid(MultiGraph.build(2, [(0, 0), (0, 1), (1, 0)])),
+        "identity": identity, "graphic": graphic, "linear-gf2": linear,
+        "partition-01": partition,
+        "sum": direct_sum_all([identity,
+                               graphic_matroid(MultiGraph.build(2, [(0, 0), (0, 1), (1, 0)])),
                                partition_matroid(CAP01, [0, 1, 1])]),
         "relabel": relabel(graphic, [3, 0, 5, 1, 4, 2]),
         "copies": parallel_copies(linear, 2),
-        "relabel-of-sum": relabel(direct_sum(linear, free), [7, 2, 0, 4, 6, 1, 3, 5]),
+        "relabel-of-sum": relabel(direct_sum(linear, identity), [7, 2, 0, 4, 6, 1, 3, 5]),
         "copies-of-sum": parallel_copies(direct_sum(partition_matroid(
-            PartitionOfGroundSet.build(GroundSet(3), [[0, 2], [1]]), [1, 1]), free), 2),
+            PartitionOfGroundSet.build(GroundSet(3), [[0, 2], [1]]), [1, 1]), identity), 2),
         "labelled": graphic.with_labels("abcdef"),
     }
 
@@ -704,6 +711,7 @@ def binary_cases() -> dict:
 def non_binary_cases() -> dict:
     graphic = graphic_matroid(LOOPY)
     return {
+        "free": free_matroid(GroundSet(3)),
         "uniform": uniform_matroid(GroundSet(4), 2),
         "transversal": transversal_matroid(random_bipartite(random.Random(3), 4, 3)),
         "paving": paving_matroid(HyperplaneFamily.build(GroundSet(5), 3, [[0, 1, 2]])),
@@ -737,6 +745,80 @@ class TestGf2Vectors:
     def test_one_vector_per_element(self):
         with pytest.raises(ValueError, match="one GF"):
             Matroid(GroundSet(2), "ad-hoc", lambda mask: True, gf2=[1])
+
+    def test_a_large_free_matroid_stores_nothing_per_element(self):
+        # Unit vectors took n^2 / 2 bits: a 103.5 MiB peak at this size.
+        tracemalloc.start()
+        try:
+            m = matroid_from_descriptor({"kind": "free", "size": 40_000})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.gf2 is None and peak < 1 << 20
+
+
+# Five-element matroids for the class states: with vectors (a graphic
+# one with a loop and a parallel pair, GF(2) columns with a zero one, a
+# cap-1 partition) and without (uniform, a dual, a truncation).
+FIVE_GRAPH = MultiGraph.build(3, [(0, 1), (0, 1), (1, 2), (2, 2), (2, 0)])
+FIVE_BLOCKS = PartitionOfGroundSet.build(GroundSet(5), [[0, 3], [1], [2, 4]])
+
+
+def class_state_cases() -> dict:
+    graphic, linear = graphic_matroid(FIVE_GRAPH), linear_matroid(GF2_MATRIX)
+    partition, uniform = partition_matroid(FIVE_BLOCKS, [1, 1, 1]), uniform_matroid(GroundSet(5), 3)
+    dual_graphic, truncated = dual(graphic), truncate(linear, 2)
+    return {
+        "both-vectors": (graphic, linear),
+        "both-vectors-relabelled": (partition, relabel(graphic, [4, 2, 0, 1, 3])),
+        "one-with-vectors": (linear,),
+        "neither": (uniform, dual_graphic),
+        "one-without": (truncated,),
+        "first-only": (graphic, uniform),
+        "second-only": (dual_graphic, partition),
+    }
+
+
+class TestClassStates:
+    @pytest.mark.parametrize("blocks", ["singles", "all"])
+    @pytest.mark.parametrize("name", class_state_cases())
+    def test_states_answer_as_the_oracles_do(self, name, blocks):
+        # For every base independent in all matroids and every block off
+        # it, fits is the conjunction of the oracles, also after an add,
+        # and undo restores every answer.
+        matroids = class_state_cases()[name]
+        blocks = [1 << e for e in range(5)] if blocks == "singles" else list(range(1, 32))
+        at = class_states(blocks, *matroids)
+        vectors = all(m.gf2 is not None for m in matroids)
+
+        def indep(mask: int) -> bool:
+            return all(m.indep_mask(mask) for m in matroids)
+
+        for base in filter(indep, range(32)):
+            state = at(base)
+            assert isinstance(state, Gf2Basis if vectors else MaskState)
+            off = [b for b in blocks if not b & base]
+            answers = [state.fits(b) for b in off]
+            assert answers == [indep(base | b) for b in off], base
+            for block in (b for b, fits in zip(off, answers) if fits):
+                state.add(block)
+                rest = [b for b in off if not b & block]
+                assert [state.fits(b) for b in rest] == [indep(base | block | b) for b in rest]
+                state.undo()
+            assert [state.fits(b) for b in off] == answers
+
+    def test_the_oracle_path_asks_in_matroid_order_and_stops_at_the_first_no(self):
+        asked = []
+
+        def logged(tag, m):
+            return Matroid(m.ground, m.kind, lambda mask: asked.append(tag) or m.indep_mask(mask))
+
+        first, second = class_state_cases()["first-only"]
+        state = class_states(range(1, 32), logged(1, first), logged(2, second))(0)
+        for block in range(1, 32):
+            asked.clear()
+            state.fits(block)
+            assert asked == ([1, 2] if first.indep_mask(block) else [1])
 
 
 class TestAxiomsAcrossConstructions:

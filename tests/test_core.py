@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from basepack.core import (
     ElementSet,
     GroundSet,
+    MaskState,
     Record,
     ResourceCapExceeded,
     UniverseMismatch,
@@ -401,7 +402,8 @@ def test_split_blocks_yields_the_plain_search_sequence(search):
     def indep(mask: int) -> bool:
         return all(m.indep_mask(mask) for m in matroids)
 
-    assert list(split_blocks(blocks, k, cap, indep)) == list(
+    states = [MaskState(indep) for _ in range(k)]
+    assert list(split_blocks(blocks, k, cap, states)) == list(
         reference_split_blocks(blocks, k, cap, indep)
     )
 
@@ -410,7 +412,7 @@ def test_split_blocks_refuses_a_zero_block():
     # The open classes are read off the class masks, so every block must
     # make its class non-empty.
     with pytest.raises(ValueError):
-        next(split_blocks([0b01, 0, 0b10], 2, 2, lambda mask: True))
+        next(split_blocks([0b01, 0, 0b10], 2, 2, [MaskState(lambda mask: True)] * 2))
 
 
 # ---------------------------------------------------------------------------

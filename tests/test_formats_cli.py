@@ -918,6 +918,18 @@ class TestCliPipelines:
         assert code == 2 and out == ""
         assert err == f"error: bad gadget labeling: {message}\n"
 
+    def test_gadget_verify_refuses_ell_past_the_cap_before_building(self, monkeypatch, capsys):
+        # Building a 20,000-block pair alone took 2.9 GB before the refusal.
+        def build_gadget(*args):
+            raise AssertionError("the pair must not be built")
+
+        monkeypatch.setattr("basepack.gadget.build_gadget", build_gadget)
+        code, out, err = run_cli(
+            ["gadget", "verify", "--ell", "6"], monkeypatch=monkeypatch, capsys=capsys
+        )
+        assert code == 3 and out == ""
+        assert err == "error: gadget search capped at ell <= 5\n"
+
     def test_gadget_verify_cli_four_blocks(self, monkeypatch, capsys):
         code, out, _ = run_cli(
             ["gadget", "verify", "--ell", "4"], monkeypatch=monkeypatch, capsys=capsys

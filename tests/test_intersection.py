@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basepack import intersection
-from basepack.core import GroundSet, Matroid, UniverseMismatch, element_states
+from basepack.core import GroundSet, Matroid, UniverseMismatch, class_states
 from basepack.constructions import (
     PartitionOfGroundSet,
     direct_sum_all,
@@ -137,7 +137,8 @@ class TestLayersEqualAllPairsReference:
             n = rng.randint(4, 10)
             m1, m2 = random_matroid(rng, n), random_matroid(rng, n)
             i1, i2 = m1.indep_mask, m2.indep_mask
-            at1, at2 = element_states(m1), element_states(m2)
+            singles = [1 << e for e in range(n)]
+            at1, at2 = class_states(singles, m1), class_states(singles, m2)
             for mask in range(1 << n):
                 if i1(mask) and i2(mask):
                     got = intersection._distance_layers(m1, m2, at1, at2, mask)

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basepack import graphs
-from basepack.core import ElementSet, Gf2Basis, GroundSet, ResourceCapExceeded, split_blocks
+from basepack.core import (
+    ElementSet, Gf2Basis, GroundSet, ResourceCapExceeded, gf2_states, split_blocks,
+)
 from basepack.certificates import (
     ArcSetCertificate,
     ModularCertificate,
@@ -280,8 +282,8 @@ def test_modular_trees_matches_the_plain_search_with_forest_and_connectivity_tes
 
     masks = [b.mask for b in sorted(blocks, key=lambda b: -len(b))]
     expected = list(reference_split_blocks(masks, 2, n - 1, grows))
-    states = Gf2Basis.states(2, masks, graph.incidence_vectors(), graph.cut_labels())
-    assert list(split_blocks(masks, 2, n - 1, states)) == expected
+    at = gf2_states(masks, graph.incidence_vectors(), graph.cut_labels())
+    assert list(split_blocks(masks, 2, n - 1, [at(0), at(0)])) == expected
     first = [i for i, b in enumerate(blocks) if expected and b.mask & expected[0][0]]
     assert solve_modular_trees(inst) == (
         ModularCertificate.from_modules(graph.ground_set(), blocks, first) if expected else None
