@@ -227,11 +227,11 @@ def cmd_axioms(args) -> int:
 
 def cmd_emit_dot(args) -> int:
     if args.gadget_ell:
-        from .gadget import DEFAULT_LABELING, build_gadget
+        from .gadget import DEFAULT_LABELING, gadget_graphs
 
-        pair = build_gadget(DEFAULT_LABELING, args.gadget_ell)
-        print(pair.first_graph.to_dot("first"))
-        print(pair.second_graph.to_dot("second"))
+        first, second = gadget_graphs(DEFAULT_LABELING, args.gadget_ell)
+        print(first.to_dot("first"))
+        print(second.to_dot("second"))
         return EXIT_YES
     data = read_json(args.input, sys.stdin)
     instance = load_instance(data)

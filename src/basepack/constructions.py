@@ -22,9 +22,9 @@ from __future__ import annotations
 import random
 from typing import Iterable, Sequence
 
-from .core import ElementSet, GroundSet, Matroid, Record, bits_of
+from .core import BYTE_BITS, ElementSet, GroundSet, Matroid, Record, bits_of
 from .fields import Matrix, gf
-from .graphs import _BYTE_BITS, BipartiteGraph, MultiGraph, augment
+from .graphs import BipartiteGraph, MultiGraph, augment
 
 MIN_REPRESENTATION_PRIME = 10**6
 DEFAULT_REPRESENTATION_PRIME = 2147483647  # 2^31 - 1
@@ -332,6 +332,36 @@ def dual(matroid: Matroid) -> Matroid:
     return Matroid(matroid.ground, "dual", indep, desc, rank)
 
 
+def _element_map(matroid: Matroid, image: Sequence[int], ground: GroundSet, desc: dict) -> Matroid:
+    """New element i is inner element ``image[i]``.
+
+    A set is independent when no two of its elements share an image and
+    the inner matroid accepts the images; its rank is the inner rank of
+    the images, and each element has its image's GF(2) vector.  A mask
+    with a shared image asks the inner oracle nothing.
+    """
+    inner = matroid.indep_mask
+    inner_rank = matroid.rank_mask
+    images = tuple(1 << j for j in image)
+
+    def remap(mask: int) -> int:
+        # A byte at a time, as graphs.union_find reads its masks.
+        inner_mask = 0
+        for j, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) // 8, "little")):
+            if byte:
+                for b in BYTE_BITS[byte]:
+                    inner_mask |= images[8 * j + b]
+        return inner_mask
+
+    def indep(mask: int) -> bool:
+        inner_mask = remap(mask)
+        return inner_mask.bit_count() == mask.bit_count() and inner(inner_mask)
+
+    vectors = None if matroid.gf2 is None else [matroid.gf2[j] for j in image]
+    return Matroid(ground, desc["kind"], indep, desc,
+                   lambda mask: inner_rank(remap(mask)), vectors)
+
+
 def parallel_copies(matroid: Matroid, k: int) -> Matroid:
     """Replace each element by ``k`` parallel copies.
 
@@ -346,31 +376,9 @@ def parallel_copies(matroid: Matroid, k: int) -> Matroid:
     labels = tuple(
         f"{matroid.ground.label(e)}#{j + 1}" for e in range(n) for j in range(k)
     )
-    ground = GroundSet(n * k, labels)
-    inner = matroid.indep_mask
-    inner_rank = matroid.rank_mask
-    copy_masks = [((1 << k) - 1) << (e * k) for e in range(n)]
-
-    def indep(mask: int) -> bool:
-        projected = 0
-        for e in range(n):
-            hit = mask & copy_masks[e]
-            if hit:
-                if hit.bit_count() > 1:
-                    return False
-                projected |= 1 << e
-        return inner(projected)
-
-    def rank(mask: int) -> int:
-        projected = 0
-        for e in range(n):
-            if mask & copy_masks[e]:
-                projected |= 1 << e
-        return inner_rank(projected)
-
-    vectors = None if matroid.gf2 is None else [v for v in matroid.gf2 for _ in range(k)]
     desc = {"kind": "parallel-copies", "k": k, "inner": matroid.descriptor}
-    return Matroid(ground, "parallel-copies", indep, desc, rank, vectors)
+    return _element_map(matroid, [e for e in range(n) for _ in range(k)],
+                        GroundSet(n * k, labels), desc)
 
 
 def relabel(matroid: Matroid, perm: Sequence[int]) -> Matroid:
@@ -383,23 +391,8 @@ def relabel(matroid: Matroid, perm: Sequence[int]) -> Matroid:
     perm = tuple(int(p) for p in perm)
     labels = matroid.ground.labels
     ground = GroundSet(n, None if labels is None else tuple(labels[p] for p in perm))
-    inner = matroid.indep_mask
-    inner_rank = matroid.rank_mask
-    images = tuple(1 << p for p in perm)
-
-    def remap(mask: int) -> int:
-        # A byte at a time, as graphs.union_find reads its masks.
-        inner_mask = 0
-        for j, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) // 8, "little")):
-            if byte:
-                for b in _BYTE_BITS[byte]:
-                    inner_mask |= images[8 * j + b]
-        return inner_mask
-
-    vectors = None if matroid.gf2 is None else [matroid.gf2[p] for p in perm]
     desc = {"kind": "relabel", "perm": list(perm), "inner": matroid.descriptor}
-    return Matroid(ground, "relabel", lambda mask: inner(remap(mask)), desc,
-                   lambda mask: inner_rank(remap(mask)), vectors)
+    return _element_map(matroid, perm, ground, desc)
 
 
 def transversal_linear_representation(

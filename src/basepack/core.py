@@ -140,6 +140,10 @@ class GroundSet(Record):
         return ElementSet.from_mask(self, 0)
 
 
+# The set bit positions of each byte value, for walking a mask byte by byte.
+BYTE_BITS = tuple(tuple(b for b in range(8) if x >> b & 1) for x in range(256))
+
+
 def bits_of(mask: int) -> Iterator[int]:
     """Yield set bit positions of ``mask`` in ascending order."""
     while mask:
@@ -648,12 +652,21 @@ def check_independence_axioms(
     exchange axiom only for |Y| = |X| + 1; together with downward closure
     these imply the general statements.  Failures carry concrete
     witnesses: (X, Y) pairs as element sets.
+
+    Exchange reads one table: bit s of ``sizes[A]`` is set when A has an
+    independent subset of s elements (ORed in one element at a time).
+    With stuck(X) = X plus every e for which X + e is dependent, an
+    independent Y one larger than X misses all of X's extensions exactly
+    when Y lies in stuck(X); so X fails when bit |X| + 1 of
+    ``sizes[stuck(X)]`` is set.  The witness is the first failing X by
+    size, then by mask, with its first such Y by mask.
     """
     n = matroid.ground.size
     if n > cap:
         raise ResourceCapExceeded(f"axiom check over {n} elements exceeds cap {cap}")
     ground = matroid.ground
-    total = 1 << n
+    full = ground.full_mask
+    total = full + 1
     indep = [matroid.indep_mask(m) for m in range(total)]
 
     i1 = AxiomCheck("I1", indep[0], None if indep[0] else (ElementSet.from_mask(ground, 0),))
@@ -676,35 +689,23 @@ def check_independence_axioms(
             break
     i2 = AxiomCheck("I2", i2_witness is None, i2_witness)
 
-    # ext[m]: elements outside m whose addition keeps m independent.
-    by_size: list[list[int]] = [[] for _ in range(n + 1)]
-    ext = {}
-    for m in range(total):
-        if indep[m]:
-            by_size[m.bit_count()].append(m)
-            e = 0
-            rest = ground.full_mask & ~m
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if indep[m | low]:
-                    e |= low
-            ext[m] = e
+    sizes = [1 << m.bit_count() if indep[m] else 0 for m in range(total)]
+    for bit in (1 << i for i in range(n)):
+        for a in range(total):
+            if a & bit:
+                sizes[a] |= sizes[a ^ bit]
+
+    def stuck(x: int) -> int:
+        return x | mask_of(e for e in bits_of(full & ~x) if not indep[x | 1 << e])
+
+    first = min(((x.bit_count(), x) for x in range(total)
+                 if indep[x] and sizes[stuck(x)] >> x.bit_count() + 1 & 1), default=None)
     i3_witness = None
-    for k in range(n):
-        if i3_witness:
-            break
-        for x in by_size[k]:
-            if i3_witness:
-                break
-            ex = ext[x]
-            for y in by_size[k + 1]:
-                if (y & ~x) & ex == 0:
-                    i3_witness = (
-                        ElementSet.from_mask(ground, x),
-                        ElementSet.from_mask(ground, y),
-                    )
-                    break
+    if first is not None:
+        k, x = first
+        y = next(y for y in range(total) if indep[y] and y.bit_count() == k + 1
+                 and y & ~stuck(x) == 0)
+        i3_witness = (ElementSet.from_mask(ground, x), ElementSet.from_mask(ground, y))
     i3 = AxiomCheck("I3", i3_witness is None, i3_witness)
 
     return AxiomReport((i1, i2, i3))

@@ -136,13 +136,13 @@ class GadgetPair(Record):
         )
 
 
-def build_gadget(labeling: BlockLabeling, ell: int) -> GadgetPair:
-    """Instantiate ``ell`` chained blocks of the labeling.
+def gadget_graphs(labeling: BlockLabeling, ell: int) -> tuple[MultiGraph, MultiGraph]:
+    """The two graphs of ``ell`` chained blocks of the labeling.
 
-    Elements are indexed block-major in label order (block j's letter t
-    is element 9*j + index(t)) and labeled "<letter><j+1>".  Both graphs
-    put block j's K4 on vertices 6*j..6*j+3 with pendant vertices 6*j+4
-    and 6*j+5; the second graph's i edge of block j copies the f edge of
+    Edges are listed block-major in label order (block j's letter t is
+    edge 9*j + index(t)) and labeled "<letter><j+1>".  Both graphs put
+    block j's K4 on vertices 6*j..6*j+3 with pendant vertices 6*j+4 and
+    6*j+5; the second graph's i edge of block j copies the f edge of
     block j+1 (wrapping at the last block).
     """
     if ell < 1:
@@ -159,17 +159,15 @@ def build_gadget(labeling: BlockLabeling, ell: int) -> GadgetPair:
             at, key = (6 * ((j + 1) % ell), "f") if letter == "i" else (base, letter)
             u, v = second_map[key]
             second_edges.append((at + u, at + v, label))
-    first = MultiGraph(6 * ell, tuple(first_edges))
-    second = MultiGraph(6 * ell, tuple(second_edges))
-    return GadgetPair(
-        ell,
-        labeling,
-        first.ground_set(),
-        first,
-        second,
-        graphic_matroid(first),
-        graphic_matroid(second),
-    )
+    return MultiGraph(6 * ell, tuple(first_edges)), MultiGraph(6 * ell, tuple(second_edges))
+
+
+def build_gadget(labeling: BlockLabeling, ell: int) -> GadgetPair:
+    """Instantiate ``ell`` chained blocks of the labeling: the graphic
+    matroids of :func:`gadget_graphs` on one ground set."""
+    first, second = gadget_graphs(labeling, ell)
+    return GadgetPair(ell, labeling, first.ground_set(), first, second,
+                      graphic_matroid(first), graphic_matroid(second))
 
 
 class GadgetCertificate(Record):

@@ -9,11 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .core import GroundSet, Record, is_int_list, is_string_list
-
-
-# The set bit positions of each byte value, for walking a mask byte by byte.
-_BYTE_BITS = tuple(tuple(b for b in range(8) if x >> b & 1) for x in range(256))
+from .core import BYTE_BITS, GroundSet, Record, is_int_list, is_string_list
 
 
 def union_find(
@@ -33,7 +29,7 @@ def union_find(
     for j, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) // 8, "little")):
         if not byte:
             continue
-        for b in _BYTE_BITS[byte]:
+        for b in BYTE_BITS[byte]:
             u, v, _ = edges[8 * j + b]
             while parent[u] != u:
                 parent[u] = parent[parent[u]]

@@ -1,5 +1,6 @@
 """Matroid classes, combinators, and their exchange-format round trips."""
 
+import itertools
 import random
 import sys
 import threading
@@ -17,6 +18,7 @@ from basepack.core import (
     check_independence_axioms,
     class_states,
     gf2_states,
+    mask_of,
     rank,
     with_query_log,
 )
@@ -663,18 +665,39 @@ class TestCombinators:
         assert not shifted.indep_mask(0b0110)  # two uniform elements
 
     def test_relabel_remaps_masks_as_bit_by_bit(self):
+        # Relabelings and parallel copies (k = 1, 2, 3) share one element
+        # map: each inner query is the mask taken through it bit by bit,
+        # and a mask that holds two copies of one element asks nothing.
         rng = random.Random(151)
-        for n in (1, 7, 8, 9, 63, 64, 65, 800):
-            perm = list(range(n))
-            rng.shuffle(perm)
+        for copies, n in itertools.product((None, 1, 2, 3), (1, 7, 8, 9, 63, 64, 65, 800)):
             asked = []
             probe = Matroid(GroundSet(n), "probe", lambda mask: asked.append(mask) or True)
-            relabeled = relabel(probe, perm)
-            masks = [0, (1 << n) - 1, 1 << (n - 1)]
-            masks += [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(50)]
+            if copies is None:
+                image = list(range(n))
+                rng.shuffle(image)
+                mapped = relabel(probe, image)
+            else:
+                image = [e for e in range(n) for _ in range(copies)]
+                mapped = parallel_copies(probe, copies)
+            size = len(image)
+            masks = [0, 1 << (size - 1)]
+            masks += [rng.getrandbits(size) & rng.getrandbits(size) for _ in range(50)]
+            if copies is None:
+                masks.append((1 << size) - 1)
+            else:
+                # At most one copy of each element, chosen at random; and
+                # for k > 1 the first two copies of element 0.
+                masks += [mask_of(e * copies + rng.randrange(copies) for e in range(n)
+                                  if rng.random() < 0.5) for _ in range(20)]
+                masks += [0b11] if copies > 1 else []
             for mask in masks:
-                relabeled.indep_mask(mask)
-                assert asked[-1] == reference_remap(perm, mask)
+                before = len(asked)
+                answer = mapped.indep_mask(mask)
+                inner = reference_remap(image, mask)
+                if inner.bit_count() == mask.bit_count():
+                    assert answer and asked[before:] == [inner]
+                else:
+                    assert answer is False and asked[before:] == []
 
     def test_relabel_requires_permutation(self):
         with pytest.raises(ValueError):

@@ -64,6 +64,7 @@ from helpers import (
     naive_rank,
     random_matroid,
     random_partition,
+    reference_axiom_report,
     reference_split_blocks,
 )
 
@@ -228,6 +229,60 @@ class TestIndependenceAxioms:
         assert ring.edge_count == 11
         assert check_independence_axioms(graphic_matroid(ring)).ok
         assert check_independence_axioms(uniform_matroid(GroundSet(12), 5)).ok
+
+
+def family_matroid(n: int, family) -> Matroid:
+    """The set family over n elements as an oracle, axioms or not."""
+    family = frozenset(family)
+    return Matroid(GroundSet(n), "custom", family.__contains__)
+
+
+def assert_same_report(matroid: Matroid) -> None:
+    report = check_independence_axioms(matroid)
+    assert report == reference_axiom_report(matroid)
+    assert [c.name for c in report.checks] == ["I1", "I2", "I3"]
+
+
+class TestExchangeTableAgainstPairwiseSweep:
+    """The subset-table exchange check reports what the pairwise sweep
+    does: every flag and every witness mask."""
+
+    def test_every_family_on_at_most_three_elements(self):
+        count = 0
+        for n in range(4):
+            for code in range(1 << (1 << n)):
+                assert_same_report(family_matroid(n, (m for m in range(1 << n) if code >> m & 1)))
+                count += 1
+        assert count == 278
+
+    def test_every_downward_closed_family_on_four_elements(self):
+        closed = []
+        for code in range(1 << 16):
+            family = [m for m in range(16) if code >> m & 1]
+            if all(code >> (m & ~(1 << e)) & 1 for m in family for e in range(4)):
+                closed.append(family)
+        assert len(closed) == 168  # the Dedekind number M(4), empty family included
+        for family in closed:
+            assert_same_report(family_matroid(4, family))
+
+    def test_seeded_random_families_on_at_most_seven_elements(self):
+        rng = random.Random(2019)
+        failed = set()
+        for i in range(3000):
+            n = rng.randint(0, 7)
+            if i % 2:
+                family = [m for m in range(1 << n) if rng.random() < 0.5]
+            else:
+                # Downward closures of a few generators, sometimes with one
+                # set toggled so that only the exchange axiom can tell.
+                gens = [rng.getrandbits(n) for _ in range(rng.randint(0, 4))]
+                family = {m for m in range(1 << n) if any(m & ~g == 0 for g in gens)}
+                if rng.random() < 0.3:
+                    family ^= {rng.getrandbits(n)}
+            matroid = family_matroid(n, family)
+            assert_same_report(matroid)
+            failed |= {c.name for c in check_independence_axioms(matroid).checks if not c.passed}
+        assert failed == {"I1", "I2", "I3"}
 
 
 class TestBasisAxioms:

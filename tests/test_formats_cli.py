@@ -1139,6 +1139,29 @@ class TestCliPipelines:
         assert code == 0
         assert "graph first" in out and "graph second" in out
 
+    def test_emit_dot_gadget_builds_no_matroid(self, monkeypatch, capsys):
+        def graphic_matroid(graph):
+            raise AssertionError("printing the graphs needs no matroid")
+
+        monkeypatch.setattr("basepack.gadget.graphic_matroid", graphic_matroid)
+        code, out, _ = run_cli(
+            ["emit-dot", "--gadget-ell", "3"], monkeypatch=monkeypatch, capsys=capsys
+        )
+        assert code == 0
+        assert "graph first" in out and "graph second" in out
+
+    def test_axioms_cli_on_sixteen_free_elements(self, monkeypatch, capsys):
+        # The pairwise exchange sweep took 37.5 s here; the subset table
+        # takes about half a second.
+        started = time.monotonic()
+        code, out, _ = run_cli(
+            ["axioms", "-"], stdin_text=json.dumps({"kind": "free", "size": 16}),
+            monkeypatch=monkeypatch, capsys=capsys,
+        )
+        elapsed = time.monotonic() - started
+        assert code == 0 and json.loads(out)["ok"]
+        assert elapsed < 10.0, f"axioms on free(16) took {elapsed:.1f}s"
+
     def test_emit_dot_for_instances(self, monkeypatch, capsys):
         code, reduced, _ = run_cli(
             ["reduce", "--rule", "r2", str(GOLDEN / "three_clause.cnf")],
