@@ -338,24 +338,30 @@ def _element_map(matroid: Matroid, image: Sequence[int], ground: GroundSet, desc
     A set is independent when no two of its elements share an image and
     the inner matroid accepts the images; its rank is the inner rank of
     the images, and each element has its image's GF(2) vector.  A mask
-    with a shared image asks the inner oracle nothing.
+    with a shared image asks the inner oracle nothing: its walk stops at
+    the first element whose image is taken already.
     """
     inner = matroid.indep_mask
     inner_rank = matroid.rank_mask
     images = tuple(1 << j for j in image)
+    shared = len(set(image)) < len(image)  # parallel copies, not a relabeling
 
-    def remap(mask: int) -> int:
-        # A byte at a time, as graphs.union_find reads its masks.
+    def remap(mask: int, strict: bool = False) -> int:
+        # A byte at a time, as graphs.union_find reads its masks; when
+        # strict, -1 at the first element whose image is taken already.
         inner_mask = 0
         for j, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) // 8, "little")):
             if byte:
                 for b in BYTE_BITS[byte]:
-                    inner_mask |= images[8 * j + b]
+                    bit = images[8 * j + b]
+                    if strict and inner_mask & bit:
+                        return -1
+                    inner_mask |= bit
         return inner_mask
 
     def indep(mask: int) -> bool:
-        inner_mask = remap(mask)
-        return inner_mask.bit_count() == mask.bit_count() and inner(inner_mask)
+        inner_mask = remap(mask, shared)
+        return inner_mask >= 0 and inner(inner_mask)
 
     vectors = None if matroid.gf2 is None else [matroid.gf2[j] for j in image]
     return Matroid(ground, desc["kind"], indep, desc,
