@@ -9,12 +9,15 @@ All combinators work at the oracle level.  In particular truncation is an
 oracle filter, not a representation-level operation: behaviorally the two
 agree, and no field extensions are needed.  Every constructor and
 combinator also supplies its rank in closed form (a count, one
-union-find pass, one elimination, one maximum matching, or one call per
-inner rank), so a rank query on a tree built here never falls back to a
-greedy scan of an independence oracle.  Graphic, GF(2) linear and
-0/1-capped partition matroids, and their direct sums, relabelings and
-parallel copies, also carry GF(2) vectors (:attr:`Matroid.gf2`); no other
-kind does, not even free matroids (unit vectors take n^2 / 2 bits).
+union-find pass, one column reduction, one maximum matching, or one call
+per inner rank), so a rank query on a tree built here never falls back to
+a greedy scan of an independence oracle.  Transversal and linear oracles
+resume each query from the last one, the last matching or the reduction
+of the columns the two masks share, and direct sums ask only the parts a
+query changes.  Graphic, GF(2) linear and 0/1-capped partition matroids,
+and their direct sums, relabelings and parallel copies, also carry GF(2)
+vectors (:attr:`Matroid.gf2`); no other kind does, not even free
+matroids (unit vectors take n^2 / 2 bits).
 """
 
 from __future__ import annotations
@@ -153,22 +156,36 @@ def graphic_matroid(graph: MultiGraph) -> Matroid:
 
 def transversal_matroid(graph: BipartiteGraph) -> Matroid:
     """Left-side sets independent iff a matching saturates them; the rank
-    of a set is the size of a maximum matching of it."""
+    of a set is the size of a maximum matching of it.
+
+    Each query resumes from the last one's matching (right -> left): it
+    keeps the pairs whose left vertex is in its mask and augments only
+    the mask's other elements, in index order, independence up to the
+    first that fails.  Kuhn's lemma makes this exact: a vertex with no
+    augmenting path never gains one as the matching grows.  Each query
+    builds a new matching and stores it only after it returns, so a query
+    that raises leaves nothing behind and concurrent queries only ever
+    read a whole one.
+    """
     adj = graph.adjacency()
+    last = [{}]  # the last query's matching, right -> left
 
-    def indep(mask: int) -> bool:
-        match: dict[int, int] = {}
-        for s in bits_of(mask):
-            if not augment(adj, match, s):
-                return False
-        return True
-
-    def rank(mask: int) -> int:
-        match: dict[int, int] = {}
-        return sum(augment(adj, match, s) for s in bits_of(mask))
+    def grow(mask: int, stop: bool) -> int:
+        match, rest = {}, mask
+        for t, s in last[0].items():
+            if mask >> s & 1:
+                match[t] = s
+                rest ^= 1 << s
+        for s in bits_of(rest):
+            if not augment(adj, match, s) and stop:
+                break
+        last[0] = match
+        return len(match)
 
     desc = {"kind": "transversal", "graph": graph.to_json()}
-    return Matroid(graph.left, "transversal", indep, desc, rank)
+    return Matroid(graph.left, "transversal",
+                   lambda mask: grow(mask, True) == mask.bit_count(), desc,
+                   lambda mask: grow(mask, False))
 
 
 def paving_matroid(family: HyperplaneFamily) -> Matroid:
@@ -209,18 +226,33 @@ def paving_matroid(family: HyperplaneFamily) -> Matroid:
 
 def linear_matroid(matrix: Matrix) -> Matroid:
     """Column sets independent iff linearly independent over the exact field;
-    over GF(2) the packed columns are the GF(2) vectors."""
+    over GF(2) the packed columns are the GF(2) vectors.
+
+    Each query resumes from the last one's column reduction
+    (:meth:`~basepack.fields.Matrix.column_rank`): the two masks share
+    the columns below their lowest differing element, so only the rest
+    is reduced.  More columns than rows are dependent at once.  Each
+    query builds a new step list and stores it with its mask only after
+    it returns, so a query that raises leaves nothing behind and
+    concurrent queries only ever read a whole pair.
+    """
     ground = GroundSet(matrix.cols)
+    last = [(0, [])]  # the last query's mask and reduction steps
+
+    def reduce(mask: int, stop_at_zero: bool) -> int:
+        seen, steps = last[0]
+        low = (seen ^ mask) & -(seen ^ mask)  # 0 when the masks are equal
+        steps = steps[:(mask & low - 1).bit_count()]
+        answer = matrix.column_rank(list(bits_of(mask)), steps, stop_at_zero)
+        last[0] = (mask, steps)
+        return answer
 
     def indep(mask: int) -> bool:
-        cols = list(bits_of(mask))
-        return matrix.columns_independent(cols)
-
-    def rank(mask: int) -> int:
-        return matrix.column_rank(list(bits_of(mask)))
+        size = mask.bit_count()
+        return size <= matrix.rows and reduce(mask, True) == size
 
     desc = {"kind": "linear", "matrix": matrix.to_json()}
-    return Matroid(ground, "linear", indep, desc, rank,
+    return Matroid(ground, "linear", indep, desc, lambda mask: reduce(mask, False),
                    matrix._columns if matrix.field == gf(2) else None)
 
 

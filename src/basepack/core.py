@@ -16,6 +16,7 @@ the wrapper across threads.
 
 from __future__ import annotations
 
+from array import array
 import functools
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -659,7 +660,8 @@ def check_independence_axioms(
     independent Y one larger than X misses all of X's extensions exactly
     when Y lies in stuck(X); so X fails when bit |X| + 1 of
     ``sizes[stuck(X)]`` is set.  The witness is the first failing X by
-    size, then by mask, with its first such Y by mask.
+    size, then by mask, with its first such Y by mask.  The flags take one
+    byte a set and the table four (n <= 24 needs 25 bits).
     """
     n = matroid.ground.size
     if n > cap:
@@ -667,9 +669,10 @@ def check_independence_axioms(
     ground = matroid.ground
     full = ground.full_mask
     total = full + 1
-    indep = [matroid.indep_mask(m) for m in range(total)]
+    indep = bytearray(map(matroid.indep_mask, range(total)))
 
-    i1 = AxiomCheck("I1", indep[0], None if indep[0] else (ElementSet.from_mask(ground, 0),))
+    i1 = AxiomCheck("I1", bool(indep[0]),
+                    None if indep[0] else (ElementSet.from_mask(ground, 0),))
 
     i2_witness = None
     for m in range(total):
@@ -689,14 +692,20 @@ def check_independence_axioms(
             break
     i2 = AxiomCheck("I2", i2_witness is None, i2_witness)
 
-    sizes = [1 << m.bit_count() if indep[m] else 0 for m in range(total)]
+    sizes = array("I", (1 << m.bit_count() if indep[m] else 0 for m in range(total)))
     for bit in (1 << i for i in range(n)):
-        for a in range(total):
-            if a & bit:
+        for start in range(bit, total, 2 * bit):  # each run of sets that hold the element
+            for a in range(start, start + bit):
                 sizes[a] |= sizes[a ^ bit]
 
     def stuck(x: int) -> int:
-        return x | mask_of(e for e in bits_of(full & ~x) if not indep[x | 1 << e])
+        out, rest = x, full & ~x
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if not indep[x | low]:
+                out |= low
+        return out
 
     first = min(((x.bit_count(), x) for x in range(total)
                  if indep[x] and sizes[stuck(x)] >> x.bit_count() + 1 & 1), default=None)

@@ -6,7 +6,8 @@ column is stored once and the chosen columns are reduced one by one
 against an echelon basis: over GF(2) a column is one int, bit r holding
 row r, reduced by XOR; over GF(p > 2) and Q it is a tuple of machine
 ints mod p, or of :class:`fractions.Fraction`, reduced by row-scaled
-subtraction.
+subtraction.  The reduction can resume from a reduced prefix of the
+chosen columns, as the linear oracle does from its last query.
 """
 
 from __future__ import annotations
@@ -131,19 +132,33 @@ class Matrix(Record):
         """A matrix whose shape is read off ``entries``."""
         return Matrix(field, len(entries), len(entries[0]) if entries else 0, entries)
 
-    def _rank(self, cols: Sequence[int], stop_at_zero: bool) -> int:
-        """Rank of the columns ``cols``, or with ``stop_at_zero`` of those
-        before the first one that reduces to zero; it stops too once the
-        rank reaches the row count.  Each column, in order, is reduced
-        against a basis that maps a pivot to its vector.  Over GF(2) the
-        pivot is the bit length and a step an XOR, as in
-        :class:`core.Gf2Basis`; otherwise the pivot is the first non-zero
-        row, where a basis vector holds 1, and a step is ``v - v[pivot] * w``,
-        mod p over GF(p)."""
-        p, columns, basis, m = self._field[1], self._columns, {}, self.rows
+    def column_rank(self, cols: Sequence[int], steps: list | None = None,
+                    stop_at_zero: bool = False) -> int:
+        """Rank of the columns ``cols`` by one column reduction, in order.
+
+        Each column is reduced against a basis that maps a pivot to its
+        vector.  Over GF(2) the pivot is the bit length and a step an XOR,
+        as in :class:`core.Gf2Basis`; otherwise the pivot is the first
+        non-zero row, where a basis vector holds 1, and a step is
+        ``v - v[pivot] * w``, mod p over GF(p).  The reduction stops once
+        the rank reaches the row count, and with ``stop_at_zero`` once a
+        column has reduced to zero.
+
+        The basis after the first j columns depends only on those columns,
+        so a query can resume from the last one.  ``steps`` holds one entry
+        per column already reduced, a prefix of ``cols``: the
+        ``(pivot, vector)`` that the column added, or None.  The basis is
+        rebuilt from them, the reduction resumes after them, and each
+        column reduced here appends its entry.
+        """
+        p, columns, m = self._field[1], self._columns, self.rows
+        steps = [] if steps is None else steps
+        basis = dict(step for step in steps if step)
         get = basis.get
         zero = 0 if p == 2 else m  # the pivot of a column reduced to zero
-        for c in cols:
+        for c in cols[len(steps):]:
+            if len(basis) == m or stop_at_zero and len(basis) < len(steps):
+                break
             v = columns[c]
             if p == 2:
                 pivot = v.bit_length()
@@ -167,21 +182,10 @@ class Matrix(Record):
                     pivot += 1
             if pivot != zero:
                 basis[pivot] = v
-                if len(basis) == m:
-                    break
-            elif stop_at_zero:
-                break
+                steps.append((pivot, v))
+            else:
+                steps.append(None)
         return len(basis)
-
-    def column_rank(self, cols: Sequence[int]) -> int:
-        """Rank of the submatrix given by ``cols``, by one column reduction."""
-        return self._rank(cols, False)
-
-    def columns_independent(self, cols: Sequence[int]) -> bool:
-        """Whether the columns ``cols`` are linearly independent: more
-        columns than rows never are, and otherwise the reduction stops at
-        the first column that reduces to zero."""
-        return len(cols) <= self.rows and self._rank(cols, True) == len(cols)
 
     def to_json(self) -> dict:
         kind, _ = self._field

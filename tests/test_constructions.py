@@ -8,6 +8,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from basepack.core import (
     Gf2Basis,
@@ -23,6 +25,7 @@ from basepack.core import (
     with_query_log,
 )
 from basepack.constructions import (
+    DEFAULT_REPRESENTATION_PRIME,
     HyperplaneFamily,
     PartitionOfGroundSet,
     direct_sum,
@@ -380,6 +383,55 @@ class TestLinear:
                 Matrix.build("q", [[entry]])
 
 
+# Leaf oracles that answer each query from the last one, against memo-free
+# references: a fresh matching per query, and the row elimination.
+MEMO_FIELDS = (gf(2), gf(3), gf(DEFAULT_REPRESENTATION_PRIME), "q")
+
+
+@st.composite
+def leaf_walks(draw):
+    """A transversal or linear oracle, its memo-free rank, and a walk of
+    (mask, ask rank) queries that mixes fresh masks with one-element
+    additions and removals."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("transversal",) + MEMO_FIELDS))
+    n = draw(st.integers(1, 10))
+    if kind == "transversal":
+        graph = random_bipartite(rng, n, rng.randint(1, 8), rng.random())
+        adj = graph.adjacency()
+        m = transversal_matroid(graph)
+
+        def reference(mask):
+            return len(reference_matching(adj, list(bits_of(mask))))
+    else:
+        # Few distinct small entries, so that columns often depend.
+        values = [0, 0, 1, -1, 2] + ([Fraction(1, 2)] if kind == "q" else [rng.randrange(1 << 40)])
+        rows = rng.randint(0, 6)
+        matrix = Matrix(kind, rows, n, [[rng.choice(values) for _ in range(n)] for _ in range(rows)])
+        m = linear_matroid(matrix)
+
+        def reference(mask):
+            return reference_column_rank(matrix, list(bits_of(mask)))
+    steps = draw(st.lists(st.tuples(st.booleans(), st.integers(0, (1 << n) - 1), st.booleans()),
+                          min_size=1, max_size=40))
+    walk, mask = [], 0
+    for fresh, value, ask_rank in steps:
+        mask = value if fresh else mask ^ 1 << value % n
+        walk.append((mask, ask_rank))
+    return m, reference, walk
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(leaf_walks())
+def test_leaf_memos_answer_as_fresh_queries(case):
+    m, reference, walk = case
+    for mask, ask_rank in walk:
+        if ask_rank:
+            assert m.rank_mask(mask) == reference(mask)
+        else:
+            assert m.indep_mask(mask) == (reference(mask) == mask.bit_count())
+
+
 class TestIsPrime:
     def test_agrees_with_trial_division_below_100000(self):
         small = [q for q in range(2, 317) if all(q % d for d in range(2, q))]
@@ -513,18 +565,33 @@ class TestCombinators:
                         assert got.rank_mask(mask) == reference_rank(want, mask)
 
     def test_direct_sum_memo_is_safe_across_threads(self):
-        # Four threads walk one shared sum and its dual with a short switch
-        # interval.  A memo that stored the mask before asking the part
-        # would let another thread read that mask with a stale answer; the
-        # parallel pairs flip their answers often, so such a read shows.
+        # Four threads walk one shared sum, its dual, a transversal and a
+        # linear oracle with a short switch interval.  A memo that stored
+        # the mask before asking the part, or a matching or step list that
+        # a later query grows in place, would let another thread read a
+        # stale or half-built answer; the parallel pairs and the walks flip
+        # their answers often, so such a read shows.
         pair = linear_matroid(Matrix.build(gf(3), [[1, 2, 0], [2, 1, 1]]))
         parts = [pair, pair, uniform_matroid(GroundSet(1), 0)]
         flat = direct_sum_all(parts)
         fold = reference_direct_sum(parts)
-        pairs = [(flat, fold), (dual(flat), dual(fold))]
-        want = [([m.indep_mask(x) for x in range(128)],
-                 [reference_rank(m, x) for x in range(128)]) for _, m in pairs]
-        wrong = []
+        graph = BipartiteGraph.build(7, 4, [(0, 0), (0, 1), (1, 1), (2, 1), (2, 2), (3, 2),
+                                            (3, 3), (4, 0), (4, 3), (5, 3), (6, 2)])
+        adj = graph.adjacency()
+        matrix = Matrix.build(gf(3), [[1, 0, 1, 2, 0, 1, 0], [0, 1, 1, 1, 0, 2, 0],
+                                      [0, 0, 0, 0, 1, 1, 2]])
+        dual_fold = dual(fold)
+        pairs = [(flat, lambda x: reference_rank(fold, x)),
+                 (dual(flat), lambda x: reference_rank(dual_fold, x)),
+                 (transversal_matroid(graph),
+                  lambda x: len(reference_matching(adj, list(bits_of(x))))),
+                 (linear_matroid(matrix), lambda x: reference_column_rank(matrix, list(bits_of(x))))]
+        want = []
+        for _, reference in pairs:
+            ranks = [reference(x) for x in range(128)]
+            want.append(([r == x.bit_count() for x, r in enumerate(ranks)], ranks))
+        assert all(False in indep and True in indep for indep, _ in want)
+        wrong, done = [], []
         gate = threading.Barrier(4)
 
         def walk(seed):
@@ -536,6 +603,7 @@ class TestCombinators:
                 for (got, _), (indep, ranks) in zip(pairs, want):
                     if got.indep_mask(mask) != indep[mask] or got.rank_mask(mask) != ranks[mask]:
                         wrong.append(mask)
+            done.append(seed)  # not reached when a query raises
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -548,7 +616,7 @@ class TestCombinators:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert wrong == []
+        assert wrong == [] and sorted(done) == [0, 1, 2, 3]
 
     def test_direct_sum_descriptor_is_flat(self):
         parts = [uniform_matroid(GroundSet(2), 1), free_matroid(GroundSet(1)),

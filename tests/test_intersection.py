@@ -7,19 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from basepack import intersection
+from basepack import constructions, intersection
 from basepack.core import GroundSet, Matroid, UniverseMismatch, class_states
 from basepack.constructions import (
+    HyperplaneFamily,
     PartitionOfGroundSet,
     direct_sum_all,
     free_matroid,
     graphic_matroid,
+    linear_matroid,
     partition_matroid,
+    paving_matroid,
     transversal_matroid,
     uniform_matroid,
 )
 from basepack.formats import parse_dimacs
-from basepack.graphs import MultiGraph
+from basepack.fields import Matrix, gf
+from basepack.graphs import BipartiteGraph, MultiGraph, augment
 from basepack.intersection import (
     common_bases_necessary_check,
     max_common_independent,
@@ -298,6 +302,51 @@ def test_r5_partition_m2_call_count_is_pinned():
     verdict = partition_into_independent(m, 2)
     assert verdict.feasible
     assert len(log) <= 1_602
+
+
+def test_transversal_augment_count_is_pinned(monkeypatch):
+    # A 64 x 24 degree-3 bipartite graph against U(64, 20): 1,134 augmenting
+    # steps with a fresh matching per query, 64 once each query resumes
+    # from the last one's matching.
+    rng = random.Random(64)
+    edges = [(s, t) for s in range(64) for t in rng.sample(range(24), 3)]
+    m1 = transversal_matroid(BipartiteGraph.build(64, 24, edges))
+    m2 = uniform_matroid(GroundSet(64), 20)
+    calls = []
+    monkeypatch.setattr(constructions, "augment", lambda *args: calls.append(1) or augment(*args))
+    got = max_common_independent(m1, m2)
+    check_min_max_certificate(m1, m2, got.mask)
+    assert len(got) == 20
+    assert len(calls) <= 64
+
+
+def test_linear_reduced_column_count_is_pinned(monkeypatch):
+    # A GF(3) 10 x 48 matrix against a rank-8 paving matroid: 396 column
+    # reductions with a fresh basis per query, 48 once each query resumes
+    # from the last one's common prefix.
+    rng = random.Random(48)
+    matrix = Matrix.build(gf(3), [[rng.randrange(3) for _ in range(48)] for _ in range(10)])
+    sets: list[set[int]] = []
+    while len(sets) < 20:
+        candidate = set(rng.sample(range(48), 8))
+        if all(len(candidate & h) <= 6 for h in sets):
+            sets.append(candidate)
+    m1 = linear_matroid(matrix)
+    m2 = paving_matroid(HyperplaneFamily.build(GroundSet(48), 8, sets))
+    reduced = []
+    column_rank = Matrix.column_rank
+
+    def counting(self, cols, steps, stop_at_zero):
+        kept = len(steps)
+        answer = column_rank(self, cols, steps, stop_at_zero)
+        reduced.append(len(steps) - kept)
+        return answer
+
+    monkeypatch.setattr(Matrix, "column_rank", counting)
+    got = max_common_independent(m1, m2)
+    check_min_max_certificate(m1, m2, got.mask)
+    assert len(got) == 8
+    assert sum(reduced) <= 48
 
 
 class TestCountingRefutation:
